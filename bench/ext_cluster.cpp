@@ -1,7 +1,7 @@
 // Extension benchmark: the sharded cluster layer vs the single-node
 // kernel engine, with a machine-readable BENCH_CLUSTER.json report.
 //
-// Spins W in-process loopback workers (real TcpServers, real sockets —
+// Spins W in-process loopback workers (real ReactorServers, real sockets —
 // the full wire path minus propagation delay) and measures cluster
 // evaluate() and a RoMe gain sweep against the local KernelErEngine on
 // the identical workload.  Every cluster result is asserted *bitwise*
@@ -25,7 +25,7 @@
 #include "bench_json.h"
 #include "cluster/coordinator.h"
 #include "core/rome.h"
-#include "service/server.h"
+#include "service/reactor_server.h"
 #include "service/workload_cache.h"
 #include "util/table.h"
 
@@ -38,11 +38,11 @@ class Fleet {
   explicit Fleet(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<service::TcpServer>(
-          service::ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+      worker->server = std::make_unique<service::ReactorServer>(
+          service::ReactorServerConfig{.port = 0,
+                                       .threads = 2,
+                                       .cache_capacity = 2,
+                                       .request_timeout_s = 120.0});
       worker->runner =
           std::thread([srv = worker->server.get()] { srv->run(); });
       workers_.push_back(std::move(worker));
@@ -68,7 +68,7 @@ class Fleet {
 
  private:
   struct Worker {
-    std::unique_ptr<service::TcpServer> server;
+    std::unique_ptr<service::ReactorServer> server;
     std::thread runner;
   };
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -1,50 +1,22 @@
 #include "core/rome.h"
 
-#include <algorithm>
 #include <limits>
 #include <queue>
 #include <vector>
 
+#include "core/selectors/selector.h"
+
 namespace rnt::core {
 
-namespace {
-
-constexpr double kWeightEps = 1e-12;
-
-/// Cost-benefit weight; free paths get an effectively infinite weight so
-/// they are always taken first (they cannot violate the budget).
-double weight_of(double gain, double cost) {
-  return gain / std::max(cost, kWeightEps);
-}
-
-/// The best single affordable path (line 1 of Algorithm 1), evaluated with
-/// gains on the empty selection, which equal ER({q}) for every engine.
-Selection best_single(const tomo::PathSystem& system,
-                      const std::vector<double>& costs, double budget,
-                      const ErEngine& engine, RomeStats* stats) {
-  auto acc = engine.make_accumulator();
-  Selection best;
-  double best_er = -1.0;
-  for (std::size_t q = 0; q < system.path_count(); ++q) {
-    if (costs[q] > budget) continue;
-    const double er = acc->gain(q);
-    if (stats != nullptr) ++stats->gain_evaluations;
-    if (er > best_er) {
-      best_er = er;
-      best.paths = {q};
-      best.cost = costs[q];
-      best.objective = er;
-    }
-  }
-  return best;
-}
-
-}  // namespace
+using selector_detail::kWeightEps;
+using selector_detail::weight_of;
 
 Selection rome(const tomo::PathSystem& system, const tomo::CostModel& costs,
                double budget, const ErEngine& engine, RomeStats* stats) {
   const std::vector<double> cost = costs.path_costs(system);
-  Selection single = best_single(system, cost, budget, engine, stats);
+  Selection single = selector_detail::best_single(
+      system, cost, budget, engine,
+      stats != nullptr ? &stats->gain_evaluations : nullptr);
 
   auto acc = engine.make_accumulator();
   Selection greedy;
@@ -91,7 +63,9 @@ Selection rome_eager(const tomo::PathSystem& system,
                      const tomo::CostModel& costs, double budget,
                      const ErEngine& engine, RomeStats* stats) {
   const std::vector<double> cost = costs.path_costs(system);
-  Selection single = best_single(system, cost, budget, engine, stats);
+  Selection single = selector_detail::best_single(
+      system, cost, budget, engine,
+      stats != nullptr ? &stats->gain_evaluations : nullptr);
 
   auto acc = engine.make_accumulator();
   Selection greedy;

@@ -41,8 +41,9 @@ Selection LazyGreedySelector::select(const tomo::PathSystem& system,
                                      double budget, const ErEngine& engine,
                                      SelectorStats* stats) const {
   const std::vector<double> cost = costs.path_costs(system);
-  Selection single =
-      selector_detail::best_single(system, cost, budget, engine, stats);
+  Selection single = selector_detail::best_single(
+      system, cost, budget, engine,
+      stats != nullptr ? &stats->gain_evaluations : nullptr);
 
   auto acc = engine.make_accumulator();
   Selection greedy;

@@ -1,6 +1,5 @@
 #include "core/selectors/selector.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/rome.h"
@@ -13,24 +12,16 @@ namespace rnt::core {
 
 namespace selector_detail {
 
-namespace {
-constexpr double kWeightEps = 1e-12;
-}  // namespace
-
-double weight_of(double gain, double cost) {
-  return gain / std::max(cost, kWeightEps);
-}
-
 Selection best_single(const tomo::PathSystem& system,
                       const std::vector<double>& costs, double budget,
-                      const ErEngine& engine, SelectorStats* stats) {
+                      const ErEngine& engine, std::size_t* gain_evaluations) {
   auto acc = engine.make_accumulator();
   Selection best;
   double best_er = -1.0;
   for (std::size_t q = 0; q < system.path_count(); ++q) {
     if (costs[q] > budget) continue;
     const double er = acc->gain(q);
-    if (stats != nullptr) ++stats->gain_evaluations;
+    if (gain_evaluations != nullptr) ++*gain_evaluations;
     if (er > best_er) {
       best_er = er;
       best.paths = {q};

@@ -26,6 +26,7 @@
 // freely with optimizer choice in the CLI and service.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -102,15 +103,24 @@ std::unique_ptr<Selector> make_selector(const std::string& name,
 
 namespace selector_detail {
 
-/// Cost-benefit weight shared by every greedy selector — the exact
-/// expression rome.cpp uses, so greedy variants compare bitwise.
-double weight_of(double gain, double cost);
+/// Floor on a path's cost in the cost-benefit weight, and the staleness
+/// tolerance of the rome heap loops.
+inline constexpr double kWeightEps = 1e-12;
 
-/// The best single affordable path (line 1 of Algorithm 1), bitwise
-/// identical to rome.cpp's fallback.  Counts its gains into `stats`.
+/// Cost-benefit weight shared by every greedy loop (rome, the replanner
+/// and the greedy selectors), so they compare bitwise.  Free paths get an
+/// effectively infinite weight, so they are always taken first (they
+/// cannot violate the budget).  Inline: it is called once per gain.
+inline double weight_of(double gain, double cost) {
+  return gain / std::max(cost, kWeightEps);
+}
+
+/// The best single affordable path (line 1 of Algorithm 1), evaluated with
+/// gains on the empty selection, which equal ER({q}) for every engine.
+/// Adds its gain calls to `*gain_evaluations` when non-null.
 Selection best_single(const tomo::PathSystem& system,
                       const std::vector<double>& costs, double budget,
-                      const ErEngine& engine, SelectorStats* stats);
+                      const ErEngine& engine, std::size_t* gain_evaluations);
 
 }  // namespace selector_detail
 

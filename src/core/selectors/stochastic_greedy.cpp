@@ -14,8 +14,9 @@ Selection StochasticGreedySelector::select(const tomo::PathSystem& system,
                                            const ErEngine& engine,
                                            SelectorStats* stats) const {
   const std::vector<double> cost = costs.path_costs(system);
-  Selection single =
-      selector_detail::best_single(system, cost, budget, engine, stats);
+  Selection single = selector_detail::best_single(
+      system, cost, budget, engine,
+      stats != nullptr ? &stats->gain_evaluations : nullptr);
 
   const std::size_t n = system.path_count();
   const std::size_t sample_size =

@@ -26,7 +26,7 @@ FrameStatus LineFramer::next_frame(std::string_view& frame) {
     const std::size_t newline = buffer_.find('\n', start_);
     if (newline == std::string::npos) {
       // An unterminated tail past the cap is a peer buffering without
-      // bound — same rejection as the threaded server's.
+      // bound.
       if (buffer_.size() - start_ > max_frame_bytes_) {
         poisoned_ = true;
         return FrameStatus::kOversized;

@@ -7,9 +7,9 @@
 //
 //  * LineFramer — the service's existing newline-delimited text protocol.
 //    Frames are lines with the trailing CR stripped and empty lines
-//    skipped, and the same two size caps the threaded server enforces: a
-//    terminated line over the cap and an unterminated tail over the cap
-//    both surface as kOversized (the caller answers once and closes).
+//    skipped, and two size caps: a terminated line over the cap and an
+//    unterminated tail over the cap both surface as kOversized (the
+//    caller answers once and closes).
 //  * LengthPrefixFramer — length-prefixed binary framing: a 4-byte
 //    little-endian payload length followed by the payload.  A declared
 //    length over the cap is rejected before any payload buffering.

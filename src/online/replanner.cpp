@@ -4,15 +4,15 @@
 #include <limits>
 #include <queue>
 
+#include "core/selectors/selector.h"
+
 namespace rnt::online {
 namespace {
 
-constexpr double kWeightEps = 1e-12;  // Mirrors core/rome.cpp.
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
+using core::selector_detail::kWeightEps;
+using core::selector_detail::weight_of;
 
-double weight_of(double gain, double cost) {
-  return gain / std::max(cost, kWeightEps);
-}
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 struct HeapEntry {
   double weight;
@@ -58,24 +58,9 @@ core::Selection Replanner::plan_cold(const core::ErEngine& engine,
   const std::size_t n = system_.path_count();
 
   // Best single affordable path (Algorithm 1 line 1).
-  core::Selection single;
-  best_single_ = n;
-  {
-    auto acc = engine.make_accumulator();
-    double best_er = -1.0;
-    for (std::size_t q = 0; q < n; ++q) {
-      if (cost_[q] > budget) continue;
-      const double er = acc->gain(q);
-      ++stats->rome.gain_evaluations;
-      if (er > best_er) {
-        best_er = er;
-        best_single_ = q;
-        single.paths = {q};
-        single.cost = cost_[q];
-        single.objective = er;
-      }
-    }
-  }
+  const core::Selection single = core::selector_detail::best_single(
+      system_, cost_, budget, engine, &stats->rome.gain_evaluations);
+  best_single_ = single.paths.empty() ? n : single.paths.front();
 
   auto acc = engine.make_accumulator();
   core::Selection greedy;
@@ -166,21 +151,9 @@ core::Selection Replanner::plan_warm(const core::ErEngine& engine,
     single.cost = cost_[best_single_];
     single.objective = er;
   } else {
-    auto single_acc = engine.make_accumulator();
-    double best_er = -1.0;
-    best_single_ = n;
-    for (std::size_t q = 0; q < n; ++q) {
-      if (cost_[q] > budget) continue;
-      const double er = single_acc->gain(q);
-      ++stats->rome.gain_evaluations;
-      if (er > best_er) {
-        best_er = er;
-        best_single_ = q;
-        single.paths = {q};
-        single.cost = cost_[q];
-        single.objective = er;
-      }
-    }
+    single = core::selector_detail::best_single(
+        system_, cost_, budget, engine, &stats->rome.gain_evaluations);
+    best_single_ = single.paths.empty() ? n : single.paths.front();
   }
 
   return greedy.objective >= single.objective ? greedy : single;

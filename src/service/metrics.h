@@ -7,9 +7,7 @@
 // The reactor front end adds lock-free counters (shed requests/
 // connections, idle timeouts, pipelined requests) and gauges (open
 // connections, admission-queue depth).  They are atomics, not
-// mutex-guarded, because the event loop bumps them on its hot path; the
-// threaded server simply leaves them at zero, so both front ends emit
-// the same `stats` fields.
+// mutex-guarded, because the event loop bumps them on its hot path.
 #pragma once
 
 #include <atomic>

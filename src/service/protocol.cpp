@@ -126,6 +126,17 @@ std::int64_t Request::get_int(const std::string& key, std::int64_t def) const {
   return value;
 }
 
+std::size_t Request::get_count(const std::string& key,
+                               std::size_t def) const {
+  const std::int64_t value = get_int(key, static_cast<std::int64_t>(def));
+  if (value < 0) {
+    throw std::invalid_argument("parameter " + key +
+                                ": must be non-negative: " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double Request::get_double(const std::string& key, double def) const {
   const std::string raw = get(key, "");
   if (raw.empty()) return def;

@@ -61,6 +61,9 @@ struct Request {
   /// finish() can reject typos, mirroring util/Flags.
   std::string get(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
+  /// A non-negative integer (a size or a count); throws
+  /// std::invalid_argument on a negative value instead of wrapping it.
+  std::size_t get_count(const std::string& key, std::size_t def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 

@@ -38,7 +38,7 @@ void ReactorServer::on_frame(Connection& conn, std::string_view frame,
   ++state.unanswered;
 
   // Detect shutdown before dispatching so the loop stops even if the
-  // pool is busy (same order as the threaded server).
+  // pool is busy.
   bool is_shutdown = false;
   std::string line(frame);
   try {
@@ -137,8 +137,8 @@ void ReactorServer::deliver_ready(std::uint64_t conn_id) {
 }
 
 void ReactorServer::on_oversized(Connection& conn) {
-  // Byte-identical to the threaded server's cap reply, delivered in
-  // order behind anything already owed, then the connection closes.
+  // The cap reply is delivered in order behind anything already owed,
+  // then the connection closes.
   ConnState& state = states_[conn.id];
   const std::uint64_t seq = state.next_seq++;
   ++state.unanswered;

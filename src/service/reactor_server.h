@@ -1,15 +1,15 @@
-// Event-loop front end for the tomography service: the same line protocol
-// and byte-identical replies as TcpServer, served by a net::Reactor
-// instead of a thread per connection.
+// TCP front end for the tomography service: the line protocol of
+// service/protocol.h, with replies byte-identical to the in-process
+// Service::handle_line, served by a net::Reactor event loop.
 //
 // One loop thread owns every socket; request lines are parsed into frames
 // on the loop and executed on the Service's worker pool, and completions
 // re-enter the loop through Reactor::post.  Replies are delivered in
 // request order per connection even when a client pipelines: each request
 // gets a sequence number at decode time, out-of-order completions wait in
-// a per-connection reorder map, and timeouts answer in place with the
-// same structured `error timeout: ...` reply the threaded server emits
-// (the late completion is discarded when it eventually arrives).
+// a per-connection reorder map, and timeouts answer in place with a
+// structured `error timeout: ...` reply (the late completion is
+// discarded when it eventually arrives).
 //
 // Backpressure is explicit: at most `max_queue` requests may be in flight
 // on the pool across all connections; past that a request is answered

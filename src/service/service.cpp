@@ -28,10 +28,9 @@ using Clock = std::chrono::steady_clock;
 WorkloadKey key_from(const Request& request) {
   WorkloadKey key;
   key.topology = request.get("as", "");
-  key.nodes = static_cast<std::size_t>(request.get_int("nodes", 87));
-  key.links = static_cast<std::size_t>(request.get_int("links", 161));
-  key.candidate_paths =
-      static_cast<std::size_t>(request.get_int("paths", 400));
+  key.nodes = request.get_count("nodes", 87);
+  key.links = request.get_count("links", 161);
+  key.candidate_paths = request.get_count("paths", 400);
   key.seed = static_cast<std::uint64_t>(request.get_int("seed", 1));
   key.intensity = request.get_double("intensity", 5.0);
   key.unit_costs = request.get_bool("unit-costs", false);
@@ -332,8 +331,7 @@ Response Service::dispatch(const Request& request) {
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       exp::EvalOptions opts;
-      opts.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      opts.scenarios = request.get_count("scenarios", 200);
       opts.identifiability = false;
       Rng rng = w.eval_rng();
       const auto eval =
@@ -361,8 +359,7 @@ Response Service::dispatch(const Request& request) {
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       exp::EvalOptions opts;
-      opts.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      opts.scenarios = request.get_count("scenarios", 200);
       opts.identifiability = true;
       Rng rng = w.eval_rng();
       const auto eval =
@@ -503,7 +500,7 @@ Response Service::dispatch(const Request& request) {
     }
     case RequestType::kShardEval: {
       const auto cw = cache_.get(key_from(request));
-      const auto runs = static_cast<std::size_t>(request.get_int("runs", 50));
+      const auto runs = request.get_count("runs", 50);
       if (runs == 0) {
         throw std::invalid_argument("shard-eval: runs must be positive");
       }
@@ -533,8 +530,7 @@ Response Service::dispatch(const Request& request) {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
-      const auto trials =
-          static_cast<std::size_t>(request.get_int("scenarios", 300));
+      const auto trials = request.get_count("scenarios", 300);
       Rng rng = w.eval_rng();
       const auto score = tomo::score_localization(*w.system, subset,
                                                   *w.failures, trials, rng);
@@ -562,14 +558,12 @@ Response Service::dispatch(const Request& request) {
         throw std::invalid_argument(
             "localize-node: family must be node or link");
       }
-      const auto k = static_cast<std::size_t>(request.get_int("k", 2));
+      const auto k = request.get_count("k", 2);
       if (k == 0) {
         throw std::invalid_argument("localize-node: k must be positive");
       }
-      const auto trials =
-          static_cast<std::size_t>(request.get_int("scenarios", 300));
-      const auto ident_cap =
-          static_cast<std::size_t>(request.get_int("ident-cap", 0));
+      const auto trials = request.get_count("scenarios", 300);
+      const auto ident_cap = request.get_count("ident-cap", 0);
       Rng rng = w.eval_rng();
       const auto score = boolnt::score_multi_localization(
           *w.system, subset, space, k, trials, rng);
@@ -610,8 +604,7 @@ Response Service::dispatch(const Request& request) {
       if (config.noise_std < 0.0) {
         throw std::invalid_argument("infer: noise must be non-negative");
       }
-      config.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      config.scenarios = request.get_count("scenarios", 200);
       // One solver worker: handler concurrency already comes from the
       // request pool, and threads=1 keeps per-request latency honest.
       config.threads = 1;
@@ -663,7 +656,7 @@ Response Service::handle_shard_sweep(const Request& request) {
 
   if (op == "init") {
     const auto cw = cache_.get(key_from(request));
-    const auto runs = static_cast<std::size_t>(request.get_int("runs", 50));
+    const auto runs = request.get_count("runs", 50);
     if (runs == 0) {
       throw std::invalid_argument("shard-sweep: runs must be positive");
     }

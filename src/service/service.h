@@ -122,11 +122,11 @@ class Service {
   std::size_t sweep_count() const;
 
   /// Counts one reply the transport could not deliver (called by the TCP
-  /// server when a send fails); surfaces as `transport-errors` in stats.
+  /// front end when a peer is gone); surfaces as `transport-errors`.
   void note_transport_error() { metrics_.record_transport_error(); }
 
   /// Reactor front-end observability: counters and gauges surfaced by
-  /// the `stats` verb (the threaded server leaves them at zero).
+  /// the `stats` verb.
   void note_shed_request() { metrics_.note_shed_request(); }
   void note_shed_connection() { metrics_.note_shed_connection(); }
   void note_idle_timeout() { metrics_.note_idle_timeout(); }

@@ -200,6 +200,13 @@ TEST(CliDispatch, UnknownFlagFailsLoudly) {
   const char* argv[] = {"rnt_cli", "topology", "--oops", "1"};
   EXPECT_THROW(dispatch(4, const_cast<char**>(argv), out),
                std::invalid_argument);
+  // serve/cluster-serve check their flags before binding a socket.
+  for (const char* command : {"serve", "cluster-serve"}) {
+    const char* serve_argv[] = {"rnt_cli", command, "--reactor"};
+    EXPECT_THROW(dispatch(3, const_cast<char**>(serve_argv), out),
+                 std::invalid_argument)
+        << command;
+  }
 }
 
 }  // namespace

@@ -28,7 +28,7 @@
 #include "core/rome.h"
 #include "service/client.h"
 #include "service/protocol.h"
-#include "service/server.h"
+#include "service/reactor_server.h"
 #include "service/workload_cache.h"
 
 namespace rnt::cluster {
@@ -142,19 +142,19 @@ std::string key_params() {
          std::to_string(kRuns);
 }
 
-/// N loopback worker processes' worth of TcpServers, each on its own
-/// ephemeral port with its own reader threads — the full wire path, one
+/// N loopback worker processes' worth of ReactorServers, each on its own
+/// ephemeral port with its own loop thread — the full wire path, one
 /// process.
 class Fleet {
  public:
   explicit Fleet(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<service::TcpServer>(
-          service::ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+      worker->server = std::make_unique<service::ReactorServer>(
+          service::ReactorServerConfig{.port = 0,
+                                       .threads = 2,
+                                       .cache_capacity = 2,
+                                       .request_timeout_s = 120.0});
       worker->port = worker->server->port();
       worker->runner = std::thread(
           [srv = worker->server.get()] { srv->run(); });
@@ -194,7 +194,7 @@ class Fleet {
 
  private:
   struct Worker {
-    std::unique_ptr<service::TcpServer> server;
+    std::unique_ptr<service::ReactorServer> server;
     std::uint16_t port = 0;
     std::thread runner;
     bool stopped = false;

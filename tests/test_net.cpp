@@ -2,14 +2,14 @@
 // end (service::ReactorServer).
 //
 // The acceptance property throughout: the reactor front end must be
-// observationally identical to the threaded TcpServer — byte-identical
+// observationally identical to the in-process Service — byte-identical
 // reply lines for the same request lines — while adding the overload
-// behaviour the threaded server cannot express: explicit admission
-// shedding (`error overloaded: ...`, never a hung or dropped
-// connection), connection caps below RLIMIT_NOFILE, and idle eviction
-// of slow-loris clients.  Everything here is deterministic in-process
-// loopback: no sleeps standing in for synchronisation, no timing
-// assertions tighter than the test's own read deadlines.
+// behaviour of a public port: explicit admission shedding (`error
+// overloaded: ...`, never a hung or dropped connection), connection caps
+// below RLIMIT_NOFILE, and idle eviction of slow-loris clients.
+// Everything here is deterministic in-process loopback: no sleeps
+// standing in for synchronisation, no timing assertions tighter than the
+// test's own read deadlines.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -23,14 +23,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "cluster/coordinator.h"
 #include "net/framing.h"
 #include "net/poller.h"
 #include "net/reactor.h"
@@ -38,7 +36,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/reactor_server.h"
-#include "service/server.h"
+#include "service/service.h"
 
 namespace rnt {
 namespace {
@@ -360,17 +358,13 @@ class ReactorFixture {
 };
 
 // --------------------------------------------------------------------------
-// Reactor front end: byte-identical to the threaded server
+// Reactor front end: byte-identical to the in-process service
 // --------------------------------------------------------------------------
 
-TEST(ReactorServer, RepliesAreByteIdenticalToThreadedServerOnEveryBackend) {
-  // Same request lines, one threaded server, one reactor per backend:
-  // every reply line must match byte for byte — success payloads, parse
-  // errors, handler errors, the lot.
-  service::TcpServer threaded(
-      service::ServerConfig{.port = 0, .threads = 2, .cache_capacity = 2});
-  std::thread threaded_runner([&threaded] { threaded.run(); });
-
+TEST(ReactorServer, RepliesAreByteIdenticalToInProcessServiceOnEveryBackend) {
+  // Same request lines through Service::handle_line + format_response and
+  // through a reactor per backend: every reply line must match byte for
+  // byte — success payloads, parse errors, handler errors, the lot.
   const std::vector<std::string> lines{
       "ping",
       "select nodes=30 links=60 paths=30 seed=3 intensity=5 budget-frac=0.3",
@@ -385,13 +379,13 @@ TEST(ReactorServer, RepliesAreByteIdenticalToThreadedServerOnEveryBackend) {
 
   std::vector<std::string> expected;
   {
-    service::TcpClient client("127.0.0.1", threaded.port(), 30.0);
+    service::Service reference(
+        service::ServiceConfig{.threads = 1, .cache_capacity = 2});
     for (const std::string& line : lines) {
-      expected.push_back(client.call_line(line));
+      expected.push_back(
+          service::format_response(reference.handle_line(line)));
     }
   }
-  threaded.stop();
-  threaded_runner.join();
 
   for (const PollBackend backend : available_backends()) {
     ReactorFixture reactor(ReactorServerConfig{
@@ -479,6 +473,10 @@ TEST(ReactorServer, OversizedUnterminatedTailAnsweredThenClosed) {
   EXPECT_NE(parse_response(reply).error.find("exceeds 256 bytes"),
             std::string::npos);
   EXPECT_TRUE(raw.server_closed());
+
+  // The port is still healthy for the next client.
+  service::TcpClient client("127.0.0.1", reactor.port(), 5.0);
+  EXPECT_TRUE(parse_response(client.call_line("ping")).ok);
 }
 
 TEST(ReactorServer, SlowLorisIsEvictedByTheIdleTimeout) {
@@ -601,26 +599,6 @@ TEST(ReactorServer, StatsVerbSurfacesReactorCountersAndTheyMove) {
   EXPECT_NO_THROW((void)stats.number("queue-depth"));
 }
 
-TEST(TcpServerStats, ThreadedServerEmitsTheSameFieldsAsZeros) {
-  // Both front ends answer `stats` with the same schema; the threaded
-  // server simply never bumps the reactor counters.
-  service::TcpServer server(service::ServerConfig{.port = 0, .threads = 1});
-  std::thread runner([&server] { server.run(); });
-  {
-    service::TcpClient client("127.0.0.1", server.port(), 30.0);
-    const Response stats = parse_response(client.call_line("stats"));
-    ASSERT_TRUE(stats.ok) << stats.error;
-    EXPECT_EQ(stats.at("open-connections"), "0");
-    EXPECT_EQ(stats.at("queue-depth"), "0");
-    EXPECT_EQ(stats.at("shed-requests"), "0");
-    EXPECT_EQ(stats.at("shed-connections"), "0");
-    EXPECT_EQ(stats.at("idle-timeouts"), "0");
-    EXPECT_EQ(stats.at("pipelined-requests"), "0");
-  }
-  server.stop();
-  runner.join();
-}
-
 // --------------------------------------------------------------------------
 // Blocking TcpClient hardening (peer vanishing mid-reply)
 // --------------------------------------------------------------------------
@@ -737,105 +715,6 @@ TEST(Reactor, LengthPrefixedSubclassEchoesFramesBack) {
 
   reactor.stop();
   runner.join();
-}
-
-// --------------------------------------------------------------------------
-// Cluster workers behind the reactor front end
-// --------------------------------------------------------------------------
-
-service::WorkloadKey cluster_key() {
-  service::WorkloadKey key;
-  key.nodes = 30;
-  key.links = 60;
-  key.candidate_paths = 40;
-  key.seed = 3;
-  key.intensity = 5.0;
-  return key;
-}
-
-/// The test_cluster Fleet, with ReactorServer workers: same wire, same
-/// verbs, event-loop front end.
-class ReactorFleet {
- public:
-  explicit ReactorFleet(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<ReactorServer>(
-          ReactorServerConfig{.port = 0,
-                              .threads = 2,
-                              .cache_capacity = 2,
-                              .request_timeout_s = 120.0});
-      worker->port = worker->server->port();
-      worker->runner =
-          std::thread([srv = worker->server.get()] { srv->run(); });
-      workers_.push_back(std::move(worker));
-    }
-  }
-
-  ~ReactorFleet() {
-    for (std::size_t i = 0; i < workers_.size(); ++i) kill(i);
-  }
-
-  std::vector<cluster::WorkerEndpoint> endpoints() const {
-    std::vector<cluster::WorkerEndpoint> eps;
-    for (const auto& w : workers_) {
-      cluster::WorkerEndpoint ep;
-      ep.port = w->port;
-      eps.push_back(ep);
-    }
-    return eps;
-  }
-
-  /// Stops worker `i` for good and destroys the server so reconnects are
-  /// refused — a killed process, not a paused one.  Idempotent.
-  void kill(std::size_t i) {
-    Worker& w = *workers_[i];
-    if (w.stopped) return;
-    w.stopped = true;
-    w.server->stop();
-    w.runner.join();
-    w.server.reset();
-  }
-
- private:
-  struct Worker {
-    std::unique_ptr<ReactorServer> server;
-    std::uint16_t port = 0;
-    std::thread runner;
-    bool stopped = false;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
-};
-
-TEST(ClusterOverReactor, EvaluateStaysBitwiseIdenticalAndFailsOver) {
-  ReactorFleet fleet(2);
-  cluster::CoordinatorConfig config;
-  config.runs = 10;
-  config.rpc.connect_timeout_s = 2.0;
-  config.rpc.reply_timeout_s = 30.0;
-  config.rpc.retries = 1;
-  config.rpc.backoff_s = 0.01;
-  cluster::Coordinator coord(cluster_key(), fleet.endpoints(), config);
-  for (const Response& r : coord.hello()) {
-    ASSERT_TRUE(r.ok) << r.error;
-  }
-
-  const core::KernelErEngine& engine = coord.engine();
-  const std::size_t paths = coord.workload().workload.system->path_count();
-  std::vector<std::size_t> all(paths);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  for (const auto& subset : std::vector<std::vector<std::size_t>>{
-           {0}, {5, 10, 15}, {paths - 1, 0, paths / 2}, all}) {
-    EXPECT_EQ(coord.evaluate(subset), engine.evaluate(subset));
-  }
-  EXPECT_EQ(coord.failovers(), 0u);
-
-  // Kill one worker: the survivor inherits its slice and the merged
-  // value is still the single-node double, bit for bit.
-  fleet.kill(1);
-  EXPECT_EQ(coord.evaluate({0, 1, 2}), engine.evaluate({0, 1, 2}));
-  EXPECT_GE(coord.failovers(), 1u);
-  EXPECT_EQ(coord.alive_workers(), 1u);
 }
 
 }  // namespace

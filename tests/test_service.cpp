@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/expected_rank.h"
@@ -28,7 +29,7 @@
 #include "exp/workload.h"
 #include "service/client.h"
 #include "service/protocol.h"
-#include "service/server.h"
+#include "service/reactor_server.h"
 #include "service/service.h"
 #include "online/link_estimator.h"
 #include "online/replanner.h"
@@ -520,15 +521,37 @@ TEST(Service, FeedRejectsBadTelemetry) {
   EXPECT_EQ(ps.number("epochs"), 0.0);
 }
 
+TEST(Service, NegativeCountsAreRejectedNotWrapped) {
+  // A negative size must not wrap to a 2^64-element request.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string wparams = "nodes=30 links=60 seed=3 intensity=5";
+  for (const auto& [line, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"select " + wparams + " paths=-1 budget-frac=0.3", "paths"},
+           {"er-eval " + wparams + " paths=30 subset=0,1 scenarios=-5",
+            "scenarios"},
+           {"localize-node " + wparams + " paths=30 family=node k=-1", "k"}}) {
+    const Response r = svc.handle_line(line);
+    ASSERT_FALSE(r.ok) << line;
+    EXPECT_NE(r.error.find("parameter " + key + ": must be non-negative"),
+              std::string::npos)
+        << r.error;
+  }
+  const Response pong = svc.handle_line("ping");
+  ASSERT_TRUE(pong.ok) << pong.error;
+  EXPECT_EQ(pong.at("pong"), "1");
+}
+
 // --------------------------------------------------------------------------
 // TCP front end
 // --------------------------------------------------------------------------
 
-TEST(TcpServer, ServesProtocolOverLoopbackAndStopsOnShutdown) {
-  TcpServer server(ServerConfig{.port = 0,  // Kernel-assigned ephemeral port.
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+TEST(ReactorServer, ServesProtocolOverLoopbackAndStopsOnShutdown) {
+  ReactorServer server(
+      ReactorServerConfig{.port = 0,  // Kernel-assigned ephemeral port.
+                          .threads = 2,
+                          .cache_capacity = 2,
+                          .request_timeout_s = 120.0});
   ASSERT_GT(server.port(), 0);
   std::thread runner([&server] { server.run(); });
 
@@ -572,21 +595,14 @@ TEST(TcpServer, ServesProtocolOverLoopbackAndStopsOnShutdown) {
   EXPECT_TRUE(server.stopping());
 }
 
-TEST(TcpServer, StopUnblocksRun) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
-  std::thread runner([&server] { server.run(); });
-  server.stop();  // What the SIGINT handler does.
-  runner.join();
-}
-
 // --------------------------------------------------------------------------
 // Hostile input on the wire
 // --------------------------------------------------------------------------
 //
 // The framing contract for a public TCP port: whatever bytes arrive, the
 // server answers with a structured error reply or closes the connection —
-// it never hangs a reader thread and never buffers an unterminated line
-// without bound.
+// it never wedges the loop and never buffers an unterminated line without
+// bound (the size caps are tested in test_net.cpp).
 
 /// A raw loopback socket speaking bytes, not the protocol — the adversary's
 /// view of the server.
@@ -649,8 +665,8 @@ class RawConn {
   int fd_ = -1;
 };
 
-TEST(TcpServer, GarbageBytesGetStructuredErrorNotAHang) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
+TEST(ReactorServer, GarbageBytesGetStructuredErrorNotAHang) {
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 1});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -680,40 +696,8 @@ TEST(TcpServer, GarbageBytesGetStructuredErrorNotAHang) {
   runner.join();
 }
 
-TEST(TcpServer, OversizedLineIsRejectedAndConnectionClosed) {
-  TcpServer server(
-      ServerConfig{.port = 0, .threads = 1, .max_line_bytes = 256});
-  std::thread runner([&server] { server.run(); });
-
-  {
-    // Terminated but over the cap: error reply, then close.
-    RawConn raw(server.port());
-    raw.send_bytes(std::string(1024, 'a') + "\n");
-    const Response reply = parse_response(raw.read_line());
-    EXPECT_FALSE(reply.ok);
-    EXPECT_NE(reply.error.find("256"), std::string::npos);
-    EXPECT_TRUE(raw.server_closed());
-  }
-  {
-    // Unterminated stream past the cap: the server must not buffer along —
-    // it answers once and closes mid-stream.
-    RawConn raw(server.port());
-    raw.send_bytes(std::string(4096, 'b'));  // No newline, ever.
-    const Response reply = parse_response(raw.read_line());
-    EXPECT_FALSE(reply.ok);
-    EXPECT_TRUE(raw.server_closed());
-  }
-
-  // The port is still healthy for the next client.
-  TcpClient client("127.0.0.1", server.port(), 5.0);
-  EXPECT_TRUE(parse_response(client.call_line("ping")).ok);
-
-  server.stop();
-  runner.join();
-}
-
-TEST(TcpServer, TruncatedFrameThenCloseLeavesServerServing) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
+TEST(ReactorServer, TruncatedFrameThenCloseLeavesServerServing) {
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 1});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -734,17 +718,17 @@ TEST(TcpServer, TruncatedFrameThenCloseLeavesServerServing) {
   runner.join();
 }
 
-TEST(TcpServer, UndeliverableReplyCountsAsTransportError) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+TEST(ReactorServer, UndeliverableReplyCountsAsTransportError) {
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 2,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
 
   {
     // Ask for real work, then crash before the reply can land: the server
-    // computes the answer, send_all fails, and the failure is *counted*
-    // rather than silently swallowed.
+    // computes the answer for a peer that is gone, and the undelivered
+    // reply is *counted* rather than silently swallowed.
     RawConn raw(server.port());
     raw.send_bytes(
         "select nodes=30 links=60 paths=30 seed=3 intensity=5 "
@@ -774,11 +758,11 @@ TEST(TcpServer, UndeliverableReplyCountsAsTransportError) {
 // verbs.  Link telemetry is commutative, so however the client threads
 // interleave, the session posterior — and the replies derived from it —
 // must equal the single-threaded module answer.
-TEST(TcpServer, ConcurrentAdaptiveVerbsMatchModules) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 4,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+TEST(ReactorServer, ConcurrentAdaptiveVerbsMatchModules) {
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 4,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
   const std::string wparams = "nodes=30 links=60 paths=30 seed=3 intensity=5";
   constexpr int kClients = 4;
@@ -842,11 +826,11 @@ TEST(TcpServer, ConcurrentAdaptiveVerbsMatchModules) {
 // stop() while requests are in flight: the server must drain without
 // crashing or hanging, and the client sees either a completed reply or a
 // clean connection error — never a stuck call.
-TEST(TcpServer, StopRacesInFlightRequests) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+TEST(ReactorServer, StopRacesInFlightRequests) {
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 2,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
   constexpr int kClients = 3;
   std::atomic<int> finished{0};

@@ -31,7 +31,6 @@
 #include "online/pipeline.h"
 #include "service/client.h"
 #include "service/reactor_server.h"
-#include "service/server.h"
 #include "testkit/checks.h"
 #include "testkit/fuzzer.h"
 #include "testkit/instance.h"
@@ -266,13 +265,10 @@ void print_usage(std::ostream& out) {
       "  --threads N        worker pool size (default: hardware)\n"
       "  --cache N          resident workloads, LRU-bounded (default 8)\n"
       "  --timeout S        per-request reply deadline in seconds\n"
-      "  --reactor          event-loop front end (epoll) instead of\n"
-      "                     thread-per-connection; replies are identical\n"
-      "  --max-queue N      reactor admission bound: in-flight requests\n"
-      "                     past it get 'error overloaded: ...' (0 = off)\n"
-      "  --idle-timeout S   reactor: evict connections idle for S seconds\n"
-      "  --max-conns N      reactor connection cap (default: below\n"
-      "                     RLIMIT_NOFILE)\n"
+      "  --max-queue N      admission bound: in-flight requests past it\n"
+      "                     get 'error overloaded: ...' (0 = off)\n"
+      "  --idle-timeout S   evict connections idle for S seconds\n"
+      "  --max-conns N      connection cap (default: below RLIMIT_NOFILE)\n"
       "\n"
       "client flags:\n"
       "  --host H --port N  service address (default 127.0.0.1:7070)\n"
@@ -724,29 +720,19 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
 namespace {
 
 /// SIGINT plumbing for `serve`: the handler may only touch the atomic
-/// pointers; both stop() implementations are async-signal-safe (an atomic
-/// store, plus a self-pipe write for the reactor).
-std::atomic<service::TcpServer*> g_server{nullptr};
-std::atomic<service::ReactorServer*> g_reactor_server{nullptr};
+/// pointer; ReactorServer::stop() is async-signal-safe (an atomic store
+/// plus a self-pipe write).
+std::atomic<service::ReactorServer*> g_server{nullptr};
 
 void handle_sigint(int) {
-  if (service::TcpServer* server = g_server.load()) server->stop();
-  if (service::ReactorServer* server = g_reactor_server.load()) {
-    server->stop();
-  }
+  if (service::ReactorServer* server = g_server.load()) server->stop();
 }
 
-}  // namespace
-
-namespace {
-
-void print_server_banner(std::ostream& out, bool worker, bool reactor,
-                         std::uint16_t port, std::size_t pool_size,
-                         std::size_t cache_capacity,
+void print_server_banner(std::ostream& out, bool worker, std::uint16_t port,
+                         std::size_t pool_size, std::size_t cache_capacity,
                          double request_timeout_s) {
   out << (worker ? "cluster worker" : "tomography service")
-      << " listening on 127.0.0.1:" << port << " ("
-      << (reactor ? "reactor front end, " : "") << pool_size
+      << " listening on 127.0.0.1:" << port << " (" << pool_size
       << " worker threads, cache " << cache_capacity
       << " workloads, request timeout " << request_timeout_s << "s)\n";
   if (worker) {
@@ -761,62 +747,28 @@ void print_server_banner(std::ostream& out, bool worker, bool reactor,
 
 /// Shared body of `serve` and `cluster-serve` — the identical TCP service
 /// either way (a cluster worker is just a service answering shard verbs);
-/// only the banner differs.  `--reactor` swaps the thread-per-connection
-/// front end for the event-loop one; replies are byte-identical.
+/// only the banner differs.
 int run_server_command(Flags& flags, std::ostream& out, bool worker) {
-  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const auto cache_capacity =
-      static_cast<std::size_t>(flags.get_int("cache", 8));
-  const double request_timeout_s = flags.get_double("timeout", 60.0);
-  const bool reactor = flags.get_bool("reactor", false);
-  const auto max_queue =
-      static_cast<std::size_t>(flags.get_int("max-queue", 0));
-  const double idle_timeout_s = flags.get_double("idle-timeout", 0.0);
-  const auto max_conns =
+  service::ReactorServerConfig config;
+  config.port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
+  config.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  config.cache_capacity = static_cast<std::size_t>(flags.get_int("cache", 8));
+  config.request_timeout_s = flags.get_double("timeout", 60.0);
+  config.max_queue = static_cast<std::size_t>(flags.get_int("max-queue", 0));
+  config.idle_timeout_ms = static_cast<std::uint64_t>(
+      flags.get_double("idle-timeout", 0.0) * 1000.0);
+  config.max_connections =
       static_cast<std::size_t>(flags.get_int("max-conns", 0));
   flags.finish();
 
+  service::ReactorServer server(config);
+  g_server.store(&server);
   struct sigaction action{};
   action.sa_handler = handle_sigint;
   struct sigaction previous{};
-
-  if (reactor) {
-    service::ReactorServerConfig config;
-    config.port = port;
-    config.threads = threads;
-    config.cache_capacity = cache_capacity;
-    config.request_timeout_s = request_timeout_s;
-    config.max_queue = max_queue;
-    config.idle_timeout_ms =
-        static_cast<std::uint64_t>(idle_timeout_s * 1000.0);
-    config.max_connections = max_conns;
-
-    service::ReactorServer server(config);
-    g_reactor_server.store(&server);
-    ::sigaction(SIGINT, &action, &previous);
-    print_server_banner(out, worker, /*reactor=*/true, server.port(),
-                        server.service().pool_size(), cache_capacity,
-                        request_timeout_s);
-    server.run();
-    ::sigaction(SIGINT, &previous, nullptr);
-    g_reactor_server.store(nullptr);
-    out << "\n" << server.service().summary();
-    return 0;
-  }
-
-  service::ServerConfig config;
-  config.port = port;
-  config.threads = threads;
-  config.cache_capacity = cache_capacity;
-  config.request_timeout_s = request_timeout_s;
-
-  service::TcpServer server(config);
-  g_server.store(&server);
   ::sigaction(SIGINT, &action, &previous);
-  print_server_banner(out, worker, /*reactor=*/false, server.port(),
-                      server.service().pool_size(), cache_capacity,
-                      request_timeout_s);
+  print_server_banner(out, worker, server.port(), server.service().pool_size(),
+                      config.cache_capacity, config.request_timeout_s);
   server.run();
 
   ::sigaction(SIGINT, &previous, nullptr);
