@@ -1,14 +1,12 @@
 // Micro-benchmarks for the linear algebra substrate: batch vs. incremental
-// rank, the Cholesky independence test, SVD rank, and null-space extraction
-// — the primitives whose costs dominate the figure experiments.
+// rank, the Cholesky independence test, and null-space extraction — the
+// primitives whose costs dominate the figure experiments.
 #include <benchmark/benchmark.h>
 
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
-#include "linalg/rational.h"
 #include "linalg/sparse.h"
-#include "linalg/svd.h"
 #include "tomo/monitors.h"
 #include "graph/isp_topology.h"
 #include "util/rng.h"
@@ -65,14 +63,6 @@ void BM_CholeskyBasis(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyBasis)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_SvdRank(benchmark::State& state) {
-  const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd_rank(m));
-  }
-}
-BENCHMARK(BM_SvdRank)->Arg(50)->Arg(100);
-
 void BM_NullSpace(benchmark::State& state) {
   const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -107,14 +97,6 @@ void BM_SparseMatVec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseMatVec)->Arg(100)->Arg(200);
-
-void BM_ExactRationalRank(benchmark::State& state) {
-  const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::exact_rank(m));
-  }
-}
-BENCHMARK(BM_ExactRationalRank)->Arg(50);
 
 }  // namespace
 }  // namespace rnt

@@ -43,15 +43,15 @@ void BM_ExhaustiveErQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveErQuery);
 
-void BM_NaiveRank(benchmark::State& state) {
+void BM_ExactRank(benchmark::State& state) {
   const TestInstance inst = generate_instance(7);
   std::vector<std::size_t> all(inst.path_count());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(naive_rank(dense_rows(inst, all)));
+    benchmark::DoNotOptimize(exact_rank(dense_rows(inst, all)));
   }
 }
-BENCHMARK(BM_NaiveRank);
+BENCHMARK(BM_ExactRank);
 
 void BM_FullCheckPass(benchmark::State& state) {
   // One fuzz case end to end: every registered check on one instance

@@ -321,12 +321,10 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
           alive[i] |= ((kp[i / 64] >> (i % 64)) & std::uint64_t{1}) << j;
         }
       }
-      // kFloat: ambiguous rows resolve through the same IncrementalBasis
+      // Ambiguous rows resolve through the same IncrementalBasis
       // machinery as hybrid_rank, so sliced and scalar ranks agree
       // bit-for-bit (the golden CSVs and differential checks pin this).
-      const auto lane_ranks =
-          linalg::sliced_ranks(sub, alive, lanes, linalg::SliceLane::kAuto,
-                               linalg::SlicedFallback::kFloat);
+      const auto lane_ranks = linalg::sliced_ranks(sub, alive, lanes);
       for (std::size_t j = 0; j < lanes; ++j) {
         rank_of[missing[base + j]] = lane_ranks[j];
       }
@@ -486,8 +484,7 @@ const std::vector<std::size_t>& KernelErEngine::class_full_ranks() const {
       }
     }
     class_full_ranks_ = std::make_unique<std::vector<std::size_t>>(
-        linalg::sliced_ranks(path_bits_, alive, n, linalg::SliceLane::kAuto,
-                             linalg::SlicedFallback::kFloat));
+        linalg::sliced_ranks(path_bits_, alive, n));
   }
   return *class_full_ranks_;
 }

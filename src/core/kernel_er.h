@@ -24,8 +24,8 @@
 //      the final weighted sum reuses the deterministic chunked reduction
 //      of the base class, so results are bitwise identical to
 //      ScenarioErEngine::evaluate() and stable across thread counts.
-//      (linalg::exact_rank stays available as the all-integer oracle the
-//      tests compare against.)
+//      (The tests referee these ranks with testkit::exact_rank, an exact
+//      integer oracle outside the library.)
 //
 // The accumulator groups scenarios into equivalence classes by their
 // full-candidate surviving-path mask (same mask => identical rank

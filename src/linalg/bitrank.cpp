@@ -1,6 +1,5 @@
 #include "linalg/bitrank.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -128,114 +127,6 @@ bool Gf2Basis::try_add(std::span<const std::uint64_t> row) {
 
 bool Gf2Basis::is_independent(std::span<const std::uint64_t> row) const {
   return reduce(row, scratch_) < cols_;
-}
-
-namespace {
-
-// Mersenne prime 2^61 - 1: single-word residues, overflow-free mulmod via
-// 128-bit products with the classic fold (x mod p from hi/lo parts).
-constexpr std::uint64_t kP = (std::uint64_t{1} << 61) - 1;
-
-std::uint64_t mulmod(std::uint64_t a, std::uint64_t b) {
-  const unsigned __int128 prod =
-      static_cast<unsigned __int128>(a) * static_cast<unsigned __int128>(b);
-  std::uint64_t lo = static_cast<std::uint64_t>(prod) & kP;
-  std::uint64_t hi = static_cast<std::uint64_t>(prod >> 61);
-  std::uint64_t r = lo + hi;
-  if (r >= kP) r -= kP;
-  return r;
-}
-
-std::uint64_t submod(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : a + kP - b;
-}
-
-/// Modular inverse via Fermat: a^(p-2) mod p.
-std::uint64_t invmod(std::uint64_t a) {
-  std::uint64_t result = 1;
-  std::uint64_t base = a % kP;
-  std::uint64_t e = kP - 2;
-  while (e != 0) {
-    if (e & 1) result = mulmod(result, base);
-    base = mulmod(base, base);
-    e >>= 1;
-  }
-  return result;
-}
-
-/// Gaussian elimination rank over GF(p) of the masked 0/1 rows.
-std::size_t modp_rank(const BitRows& rows,
-                      const std::vector<std::size_t>& keep) {
-  const std::size_t m = keep.size();
-  const std::size_t n = rows.cols();
-  if (m == 0 || n == 0) return 0;
-  // Unpack to residues once; elimination is then plain modular arithmetic.
-  std::vector<std::uint64_t> a(m * n, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t c = 0; c < n; ++c) {
-      a[i * n + c] = rows.bit(keep[i], c) ? 1 : 0;
-    }
-  }
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < n && rank < m; ++col) {
-    std::size_t pivot = m;
-    for (std::size_t r = rank; r < m; ++r) {
-      if (a[r * n + col] != 0) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot == m) continue;
-    if (pivot != rank) {
-      for (std::size_t c = col; c < n; ++c) {
-        std::swap(a[pivot * n + c], a[rank * n + c]);
-      }
-    }
-    const std::uint64_t inv = invmod(a[rank * n + col]);
-    for (std::size_t r = rank + 1; r < m; ++r) {
-      const std::uint64_t factor = mulmod(a[r * n + col], inv);
-      if (factor == 0) continue;
-      for (std::size_t c = col; c < n; ++c) {
-        a[r * n + c] =
-            submod(a[r * n + c], mulmod(factor, a[rank * n + c]));
-      }
-    }
-    ++rank;
-  }
-  return rank;
-}
-
-std::size_t exact_rank_rows(const BitRows& rows,
-                            const std::vector<std::size_t>& keep) {
-  const std::size_t m = keep.size();
-  if (m == 0 || rows.cols() == 0) return 0;
-  BitRows work(rows.cols());
-  work.reserve(m);
-  for (std::size_t i : keep) work.append_words(rows.row(i));
-  const std::size_t g = gf2_rank(std::move(work));
-  // Full GF(2) row rank certifies an odd m x m minor, hence full rational
-  // row rank; GF(2) rank equal to the column count pins the rational rank
-  // from both sides.  Either way the word-parallel pass is the answer.
-  if (g == m || g == rows.cols()) return g;
-  return std::max(g, modp_rank(rows, keep));
-}
-
-}  // namespace
-
-std::size_t exact_rank(const BitRows& rows) {
-  std::vector<std::size_t> keep(rows.rows());
-  for (std::size_t i = 0; i < keep.size(); ++i) keep[i] = i;
-  return exact_rank_rows(rows, keep);
-}
-
-std::size_t exact_rank_masked(const BitRows& rows,
-                              std::span<const std::uint64_t> keep) {
-  std::vector<std::size_t> kept;
-  kept.reserve(rows.rows());
-  for (std::size_t i = 0; i < rows.rows(); ++i) {
-    if ((keep[i / 64] >> (i % 64)) & 1u) kept.push_back(i);
-  }
-  return exact_rank_rows(rows, kept);
 }
 
 }  // namespace rnt::linalg

@@ -1,4 +1,4 @@
-// Word-packed 0/1 row storage and exact integer rank for path matrices.
+// Word-packed 0/1 row storage and GF(2) rank for path matrices.
 //
 // The ER definition (Eq. 4) ranks a 0/1 surviving submatrix once per
 // failure scenario — the hottest loop in the repo.  Rows of the path
@@ -7,19 +7,12 @@
 // the failed set" is a handful of ANDs.
 //
 // Rank over GF(2) is NOT the rational rank of a 0/1 matrix in general
-// (rows {a,b}, {b,c}, {a,c} have GF(2) rank 2 but rational rank 3), so
-// the exact-rank entry points combine two sound lower bounds:
-//
-//  * GF(2) elimination.  rank_2(A) <= rank_Q(A) always; when every row is
-//    GF(2)-independent the matrix has an odd k x k minor, which certifies
-//    full rational row rank.  This is the common case for surviving path
-//    sets and costs only word ops.
-//  * Elimination mod p = 2^61 - 1.  rank_p(A) <= rank_Q(A) always, with
-//    equality unless p divides every maximal nonzero minor.  A 0/1 r x r
-//    minor is Hadamard-bounded by (r+1)^((r+1)/2) / 2^r < p for r <= 36,
-//    so for every matrix this library ever ranks (surviving path sets on
-//    graphs with at most a few dozen independent rows) max(rank_2, rank_p)
-//    IS the exact rational rank, in pure integer arithmetic.
+// (rows {a,b}, {b,c}, {a,c} have GF(2) rank 2 but rational rank 3), but
+// it is a sound lower bound: rank_2(A) <= rank_Q(A) always, and when
+// every row is GF(2)-independent the matrix has an odd k x k minor, which
+// certifies full rational row rank.  This is the common case for
+// surviving path sets and costs only word ops; callers resolve the rest
+// (core/kernel_er.cpp, linalg/slicedrank.h).
 #pragma once
 
 #include <cstddef>
@@ -82,7 +75,7 @@ class BitRows {
 bool disjoint(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b);
 
 /// GF(2) rank by in-place branch-free XOR elimination (the argument is a
-/// working copy).  Remember rank_2 <= rational rank; see exact_rank.
+/// working copy).  Remember rank_2 <= rational rank (header comment).
 std::size_t gf2_rank(BitRows rows);
 
 /// Incremental GF(2) row basis: word-packed eliminated rows with pivot
@@ -122,17 +115,5 @@ class Gf2Basis {
   std::vector<std::size_t> pivots_;    ///< Pivot bit index per eliminated row.
   mutable std::vector<std::uint64_t> scratch_;
 };
-
-/// Exact rational rank of a packed 0/1 matrix: GF(2) fast path with the
-/// full-row-rank / full-column-rank certificates, integer elimination mod
-/// 2^61 - 1 otherwise, result max(rank_2, rank_p).  Exact for every matrix
-/// whose rank is at most 36 (see the header comment) — far beyond any path
-/// matrix this library ranks — and a sound lower bound always.
-std::size_t exact_rank(const BitRows& rows);
-
-/// exact_rank of the subset of rows whose bit is set in `keep` (packed
-/// over row indices, ceil(rows.rows()/64) words).
-std::size_t exact_rank_masked(const BitRows& rows,
-                              std::span<const std::uint64_t> keep);
 
 }  // namespace rnt::linalg

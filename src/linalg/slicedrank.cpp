@@ -311,8 +311,8 @@ struct LaneGroup {
 
 std::vector<std::size_t> sliced_ranks(const BitRows& rows,
                                       std::span<const std::uint64_t> alive,
-                                      std::size_t instances, SliceLane lane,
-                                      SlicedFallback fallback) {
+                                      std::size_t instances,
+                                      SliceLane lane) {
   std::vector<std::size_t> ranks(instances, 0);
   if (instances == 0) return ranks;
   const std::size_t stride = (instances + 63) / 64;
@@ -321,7 +321,6 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
         "sliced_ranks: need ceil(instances/64) alive words per row");
   }
   const std::size_t cols = rows.cols();
-  std::vector<std::uint64_t> confirm_mask((rows.rows() + 63) / 64);
   std::vector<double> row_d;  // Float-tier view of the current 0/1 row.
   for (std::size_t g = 0; g < stride; ++g) {
     const std::size_t lanes = std::min<std::size_t>(64, instances - g * 64);
@@ -332,14 +331,11 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
     std::uint64_t synced3 = full;
     std::vector<LaneGroup> groups(1);
     groups[0].mask = full;
-    if (fallback == SlicedFallback::kFloat) {
-      // Root trunk up front: every group descends from this one by
-      // splitting, so the block shares one append-only chain and late
-      // materializations adopt the prefix siblings already reduced.
-      groups[0].trunk = std::make_shared<FloatTrunk>(cols);
-    }
+    // Root trunk up front: every group descends from this one by
+    // splitting, so the block shares one append-only chain and late
+    // materializations adopt the prefix siblings already reduced.
+    groups[0].trunk = std::make_shared<FloatTrunk>(cols);
     auto catch_up = [&](LaneGroup& grp) {
-      if (!grp.trunk) grp.trunk = std::make_shared<FloatTrunk>(cols);
       std::vector<double> d;
       while (grp.fvalid < grp.kept.size()) {
         const std::uint32_t r = grp.kept[grp.fvalid];
@@ -387,61 +383,48 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
           const std::uint64_t sub = grp.mask & ambiguous;
           if (sub == 0) continue;
           bool indep = false;
-          if (fallback == SlicedFallback::kExact) {
-            // The committed rows are rationally independent by
-            // induction, so the row is independent iff it grows their
-            // exact rank.
-            std::fill(confirm_mask.begin(), confirm_mask.end(), 0);
-            for (const std::uint32_t r : grp.kept) {
-              confirm_mask[r / 64] |= std::uint64_t{1} << (r % 64);
+          if (!row_d_ready) {
+            row_d.assign(cols, 0.0);
+            const auto bits = rows.row(i);
+            for (std::size_t l = 0; l < cols; ++l) {
+              row_d[l] =
+                  static_cast<double>((bits[l / 64] >> (l % 64)) & 1u);
             }
-            confirm_mask[i / 64] |= std::uint64_t{1} << (i % 64);
-            indep =
-                exact_rank_masked(rows, confirm_mask) == grp.kept.size() + 1;
+            row_d_ready = true;
+          }
+          catch_up(grp);
+          const std::shared_ptr<FloatTrunk> pre_trunk = grp.trunk;
+          const std::size_t pre_brank = grp.brank;
+          if (grp.brank == grp.trunk->rows.size()) {
+            // At the trunk tip: append in place.  Appends never
+            // disturb the shorter prefixes other groups hold.
+            indep = grp.trunk->basis.try_add(row_d);
+            if (indep) {
+              grp.trunk->rows.push_back(static_cast<std::uint32_t>(i));
+              ++grp.brank;
+            }
           } else {
-            if (!row_d_ready) {
-              row_d.assign(cols, 0.0);
-              const auto bits = rows.row(i);
-              for (std::size_t l = 0; l < cols; ++l) {
-                row_d[l] =
-                    static_cast<double>((bits[l / 64] >> (l % 64)) & 1u);
-              }
-              row_d_ready = true;
-            }
-            catch_up(grp);
-            const std::shared_ptr<FloatTrunk> pre_trunk = grp.trunk;
-            const std::size_t pre_brank = grp.brank;
-            if (grp.brank == grp.trunk->rows.size()) {
-              // At the trunk tip: append in place.  Appends never
-              // disturb the shorter prefixes other groups hold.
-              indep = grp.trunk->basis.try_add(row_d);
-              if (indep) {
+            indep =
+                grp.trunk->basis.is_independent_prefix(row_d, grp.brank);
+            if (indep) {
+              if (grp.trunk->rows[grp.brank] ==
+                  static_cast<std::uint32_t>(i)) {
+                ++grp.brank;  // Adopt the sibling's append.
+              } else {
+                grp.trunk =
+                    std::make_shared<FloatTrunk>(*grp.trunk, grp.brank);
+                grp.trunk->basis.try_add(row_d);
                 grp.trunk->rows.push_back(static_cast<std::uint32_t>(i));
                 ++grp.brank;
               }
-            } else {
-              indep =
-                  grp.trunk->basis.is_independent_prefix(row_d, grp.brank);
-              if (indep) {
-                if (grp.trunk->rows[grp.brank] ==
-                    static_cast<std::uint32_t>(i)) {
-                  ++grp.brank;  // Adopt the sibling's append.
-                } else {
-                  grp.trunk =
-                      std::make_shared<FloatTrunk>(*grp.trunk, grp.brank);
-                  grp.trunk->basis.try_add(row_d);
-                  grp.trunk->rows.push_back(static_cast<std::uint32_t>(i));
-                  ++grp.brank;
-                }
-              }
-            }
-            if (indep) {
-              // Account for the kept.push_back in the split pass below.
-              grp.fvalid = grp.kept.size() + 1;
-              restores.push_back({gi, pre_trunk, pre_brank});
             }
           }
-          if (indep) accept |= sub;
+          if (indep) {
+            // Account for the kept.push_back in the split pass below.
+            grp.fvalid = grp.kept.size() + 1;
+            restores.push_back({gi, pre_trunk, pre_brank});
+            accept |= sub;
+          }
         }
       }
       // Split groups on the accept boundary: accepted lanes extend their

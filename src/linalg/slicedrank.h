@@ -30,16 +30,16 @@
 //     synced basis is therefore a proof of independence.
 //   * a row that reduces to zero mod both 2 and 3 is *not* certified
 //     dependent (6 is far below the Hadamard bound of a 0/1 minor), so
-//     callers confirm the rare double-zero verdict with a scalar exact
-//     tier.  Empirically GF(3) matches the rational rank on essentially
-//     every surviving class this library ranks, so the confirm tier is
-//     cold.
+//     callers resolve the rare double-zero verdict with a floating-point
+//     fallback.  Empirically GF(3) matches the rational rank on
+//     essentially every surviving class this library ranks, so the
+//     fallback is cold.
 //
 // SlicedBasis is the mechanism only (planes, masks, reduce/install); the
 // sync/fallback protocol lives with the caller so the engine can keep its
 // own fallback bit-for-bit identical to the scalar path.  sliced_ranks()
-// below is the self-contained all-integer driver the tier-1 tests pin
-// against the exact_rank oracle.
+// below is the self-contained driver the tier-1 tests pin against the
+// testkit's exact rank referee.
 #pragma once
 
 #include <cstddef>
@@ -142,24 +142,14 @@ class SlicedBasis {
   mutable std::vector<std::uint64_t> scratch3_;
 };
 
-/// Resolution tier for rows the GF(2)+GF(3) certificates leave ambiguous
-/// (zero remainder over both synced fields certifies nothing).
-enum class SlicedFallback : std::uint8_t {
-  /// Confirm against the all-integer exact_rank_masked() oracle: the
-  /// result equals per-instance exact_rank_masked() on every input.  The
-  /// contract the tier-1 differential tests pin.
-  kExact = 0,
-  /// Resolve with the same lazily materialized floating-point
-  /// IncrementalBasis machinery the scalar engine's hybrid rank uses —
-  /// identical committed rows, identical verdict arithmetic — so the
-  /// engine's sliced and scalar kernels produce bit-identical ranks.
-  kFloat = 1,
-};
-
 /// Ranks of up to `instances` masked row subsets in one sliced sweep:
 /// instance s ranks rows {i : bit s of alive[i*stride + s/64]}, where
 /// stride = ceil(instances/64) words per row.  The sliced GF(2)+GF(3)
-/// pass answers almost every row; ambiguous rows fall to `fallback`.
+/// pass answers almost every row; ambiguous rows fall to the same lazily
+/// materialized floating-point IncrementalBasis machinery the scalar
+/// engine's hybrid rank uses — identical committed rows, identical
+/// verdict arithmetic — so the engine's sliced and scalar kernels produce
+/// bit-identical ranks.
 ///
 /// Instances whose accepted-row histories coincide share one basis and
 /// therefore one fallback verdict, so the sweep tracks lanes in
@@ -168,7 +158,6 @@ enum class SlicedFallback : std::uint8_t {
 /// to per-instance scalar elimination when many instances overlap.
 std::vector<std::size_t> sliced_ranks(
     const BitRows& rows, std::span<const std::uint64_t> alive,
-    std::size_t instances, SliceLane lane = SliceLane::kAuto,
-    SlicedFallback fallback = SlicedFallback::kExact);
+    std::size_t instances, SliceLane lane = SliceLane::kAuto);
 
 }  // namespace rnt::linalg

@@ -1,34 +1,139 @@
 #include "testkit/oracles.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 namespace rnt::testkit {
 
-std::size_t naive_rank(std::vector<std::vector<double>> rows, double tol) {
-  if (rows.empty()) return 0;
-  const std::size_t cols = rows[0].size();
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols && rank < rows.size(); ++col) {
-    // Partial pivoting: largest |entry| in this column at or below `rank`.
-    std::size_t pivot = rank;
-    for (std::size_t r = rank + 1; r < rows.size(); ++r) {
-      if (std::abs(rows[r][col]) > std::abs(rows[pivot][col])) pivot = r;
+namespace {
+
+/// The sixteen largest primes below 2^61: 2^61 - d for d = 1 (the
+/// Mersenne prime), 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579,
+/// 675, 759, 799, 819.  Each exceeds 2^60, so any k of them multiply to
+/// more than 2^(60k).
+constexpr std::uint64_t kTwo61 = std::uint64_t{1} << 61;
+constexpr std::array<std::uint64_t, 16> kPrimes = {
+    kTwo61 - 1,   kTwo61 - 31,  kTwo61 - 45,  kTwo61 - 229,
+    kTwo61 - 259, kTwo61 - 283, kTwo61 - 339, kTwo61 - 391,
+    kTwo61 - 403, kTwo61 - 465, kTwo61 - 531, kTwo61 - 579,
+    kTwo61 - 675, kTwo61 - 759, kTwo61 - 799, kTwo61 - 819};
+constexpr std::size_t kBitsPerPrime = 60;
+
+std::uint64_t residue(std::int64_t x, std::uint64_t p) {
+  const auto sp = static_cast<std::int64_t>(p);
+  const std::int64_t r = x % sp;
+  return static_cast<std::uint64_t>(r < 0 ? r + sp : r);
+}
+
+std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t p) {
+  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b %
+                                    p);
+}
+
+/// Rank over GF(p) by fraction-free elimination: row_r <- piv * row_r -
+/// f * row_pivot needs no inverses, and scaling by piv != 0 keeps the row
+/// space.
+std::size_t rank_mod(const std::vector<std::vector<std::int64_t>>& rows,
+                     std::size_t cols, std::uint64_t p) {
+  const std::size_t m = rows.size();
+  std::vector<std::uint64_t> a(m * cols);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      a[i * cols + c] = residue(rows[i][c], p);
     }
-    if (std::abs(rows[pivot][col]) <= tol) continue;
-    std::swap(rows[rank], rows[pivot]);
-    for (std::size_t r = rank + 1; r < rows.size(); ++r) {
-      const double factor = rows[r][col] / rows[rank][col];
-      if (factor == 0.0) continue;
+  }
+  std::size_t rank = 0;
+  for (std::size_t col = 0; col < cols && rank < m; ++col) {
+    std::size_t pivot = rank;
+    while (pivot < m && a[pivot * cols + col] == 0) ++pivot;
+    if (pivot == m) continue;
+    if (pivot != rank) {
       for (std::size_t c = col; c < cols; ++c) {
-        rows[r][c] -= factor * rows[rank][c];
+        std::swap(a[pivot * cols + c], a[rank * cols + c]);
+      }
+    }
+    const std::uint64_t piv = a[rank * cols + col];
+    for (std::size_t r = rank + 1; r < m; ++r) {
+      const std::uint64_t f = a[r * cols + col];
+      if (f == 0) continue;
+      for (std::size_t c = col; c < cols; ++c) {
+        const std::uint64_t keep = mulmod(piv, a[r * cols + c], p);
+        const std::uint64_t drop = mulmod(f, a[rank * cols + c], p);
+        a[r * cols + c] = keep >= drop ? keep - drop : keep + p - drop;
       }
     }
     ++rank;
   }
   return rank;
+}
+
+}  // namespace
+
+std::size_t exact_rank(const std::vector<std::vector<std::int64_t>>& rows) {
+  const std::size_t cols = rows.empty() ? 0 : rows[0].size();
+  // ||row||^2 <= nonzeros * max|x|^2 < 2^h with h = bit_width(nonzeros) +
+  // 2 bit_width(max|x|): h counts half-bits of the row's Hadamard factor.
+  std::vector<std::size_t> half_bits;
+  half_bits.reserve(rows.size());
+  for (const auto& row : rows) {
+    if (row.size() != cols) {
+      throw std::invalid_argument("exact_rank: ragged rows");
+    }
+    std::uint64_t nonzeros = 0;
+    std::uint64_t max_abs = 0;
+    for (const std::int64_t x : row) {
+      const std::uint64_t mag = x < 0 ? std::uint64_t{0} -
+                                            static_cast<std::uint64_t>(x)
+                                      : static_cast<std::uint64_t>(x);
+      if (mag != 0) ++nonzeros;
+      max_abs = std::max(max_abs, mag);
+    }
+    if (nonzeros != 0) {
+      half_bits.push_back(std::bit_width(nonzeros) +
+                          2 * std::bit_width(max_abs));
+    }
+  }
+  // A nonzero minor spans at most `limit` nonzero rows; its Hadamard bound
+  // is below 2^(sum of the `limit` largest half-bit counts / 2).
+  const std::size_t limit = std::min(half_bits.size(), cols);
+  std::sort(half_bits.begin(), half_bits.end(), std::greater<>());
+  std::size_t bound_half_bits = 0;
+  for (std::size_t i = 0; i < limit; ++i) bound_half_bits += half_bits[i];
+  const std::size_t primes = std::max<std::size_t>(
+      1, (bound_half_bits + 2 * kBitsPerPrime - 1) / (2 * kBitsPerPrime));
+  if (primes > kPrimes.size()) {
+    throw std::domain_error(
+        "exact_rank: Hadamard bound outgrows the prime table");
+  }
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < primes && rank < limit; ++i) {
+    rank = std::max(rank, rank_mod(rows, cols, kPrimes[i]));
+  }
+  return rank;
+}
+
+std::size_t exact_rank(const std::vector<std::vector<double>>& rows) {
+  std::vector<std::vector<std::int64_t>> ints;
+  ints.reserve(rows.size());
+  for (const auto& row : rows) {
+    auto& out = ints.emplace_back();
+    out.reserve(row.size());
+    for (const double x : row) {
+      // [-2^63, 2^63) converts exactly; the negated test also rejects NaN.
+      if (!(x >= -0x1p63 && x < 0x1p63) || x != std::trunc(x)) {
+        throw std::invalid_argument("exact_rank: entry " +
+                                    std::to_string(x) +
+                                    " is not an int64 integer");
+      }
+      out.push_back(static_cast<std::int64_t>(x));
+    }
+  }
+  return exact_rank(ints);
 }
 
 std::vector<std::vector<double>> dense_rows(
@@ -60,9 +165,10 @@ ExhaustiveErTable::ExhaustiveErTable(const TestInstance& instance) {
   if (paths > 63) {
     throw std::invalid_argument("ExhaustiveErTable: more than 63 paths");
   }
-  std::vector<std::size_t> all(paths);
-  for (std::size_t i = 0; i < paths; ++i) all[i] = i;
-  rows_ = dense_rows(instance, all);
+  rows_.assign(paths, std::vector<std::int64_t>(links, 0));
+  for (std::size_t i = 0; i < paths; ++i) {
+    for (std::uint32_t l : instance.path_links[i]) rows_[i][l] = 1;
+  }
 
   std::vector<std::uint64_t> path_mask(paths, 0);
   for (std::size_t i = 0; i < paths; ++i) {
@@ -92,11 +198,11 @@ ExhaustiveErTable::ExhaustiveErTable(const TestInstance& instance) {
 std::size_t ExhaustiveErTable::rank_of_mask(std::uint64_t rows_mask) const {
   const auto it = rank_memo_.find(rows_mask);
   if (it != rank_memo_.end()) return it->second;
-  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<std::int64_t>> rows;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if ((rows_mask >> i) & 1) rows.push_back(rows_[i]);
   }
-  const std::size_t r = naive_rank(std::move(rows));
+  const std::size_t r = exact_rank(rows);
   rank_memo_.emplace(rows_mask, r);
   return r;
 }
@@ -195,7 +301,7 @@ OracleSelection exhaustive_best_independent_ea(const TestInstance& instance,
     const std::size_t size = static_cast<std::size_t>(std::popcount(mask));
     if (size > max_paths) continue;
     const std::vector<std::size_t> subset = mask_to_paths(mask, paths);
-    if (naive_rank(dense_rows(instance, subset)) != size) continue;
+    if (exact_rank(dense_rows(instance, subset)) != size) continue;
     double objective = 0.0;
     for (std::size_t i : subset) objective += ea[i];
     if (better(objective, mask, best_objective, best_mask)) {

@@ -7,6 +7,7 @@
 // exist only for the small instances testkit generates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -15,11 +16,25 @@
 
 namespace rnt::testkit {
 
-/// Rank over the reals by plain Gaussian elimination with partial
-/// pivoting.  Self-contained (no linalg/) so it can referee the linalg
-/// rank oracles.  Consumes its argument.
-std::size_t naive_rank(std::vector<std::vector<double>> rows,
-                       double tol = 1e-9);
+/// Exact rational rank of an integer matrix: the suite's one rank
+/// referee.  Self-contained (no linalg/) so it can referee every linalg
+/// and engine rank path.
+///
+/// Fraction-free elimination modulo each prime of a fixed table of
+/// distinct primes in (2^60, 2^61).  rank_p <= rank_Q for every p, and a
+/// nonzero r x r minor D is lost mod p only if p divides D.  The table
+/// prefix used has a product above the Hadamard bound prod ||row||_2 of
+/// the largest possible minor, so not every prime in it can divide D and
+/// the maximum of the modular ranks IS the rational rank — proven by the
+/// bound, not left to chance.  Throws std::invalid_argument on ragged
+/// rows and std::domain_error when the bound outgrows the table (never
+/// at the sizes the suite ranks: the table covers ~960 bits).
+std::size_t exact_rank(const std::vector<std::vector<std::int64_t>>& rows);
+
+/// exact_rank of integer-valued doubles (the dense_rows() layout).  Throws
+/// std::invalid_argument on a non-integer or non-finite entry, or one
+/// outside the int64 range.
+std::size_t exact_rank(const std::vector<std::vector<double>>& rows);
 
 /// Dense 0/1 rows of the given paths (row i of the result is subset[i]).
 std::vector<std::vector<double>> dense_rows(
@@ -45,7 +60,7 @@ class ExhaustiveErTable {
  private:
   std::size_t rank_of_mask(std::uint64_t rows_mask) const;
 
-  std::vector<std::vector<double>> rows_;  ///< Dense 0/1 path rows.
+  std::vector<std::vector<std::int64_t>> rows_;  ///< Dense 0/1 path rows.
   std::vector<std::uint64_t> alive_;  ///< Per scenario: surviving-path mask.
   std::vector<double> prob_;          ///< Per scenario: P(v).
   mutable std::unordered_map<std::uint64_t, std::size_t> rank_memo_;

@@ -59,6 +59,16 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) {
   }
 }
 
+std::size_t Flags::get_count(const std::string& name, std::size_t def) {
+  const std::int64_t value = get_int(name, static_cast<std::int64_t>(def));
+  if (value < 0) {
+    throw std::invalid_argument("flag --" + name +
+                                " must be non-negative, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double Flags::get_double(const std::string& name, double def) {
   auto v = raw(name);
   if (!v) return def;

@@ -5,6 +5,7 @@
 // instead of silently running the default configuration.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -24,6 +25,10 @@ class Flags {
   /// Typed getters.  Each records the flag as "known".
   std::string get_string(const std::string& name, std::string def);
   std::int64_t get_int(const std::string& name, std::int64_t def);
+  /// A non-negative integer (a size or a count); throws
+  /// std::invalid_argument naming the flag on a negative value instead of
+  /// wrapping it.
+  std::size_t get_count(const std::string& name, std::size_t def);
   double get_double(const std::string& name, double def);
   bool get_bool(const std::string& name, bool def);
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli_commands.h"
 #include "util/flags.h"
@@ -206,6 +208,29 @@ TEST(CliDispatch, UnknownFlagFailsLoudly) {
     EXPECT_THROW(dispatch(3, const_cast<char**>(serve_argv), out),
                  std::invalid_argument)
         << command;
+  }
+}
+
+TEST(CliDispatch, NegativeCountsAreRejectedNotWrapped) {
+  // A negative count used to wrap to 2^64: evaluate ran until killed and
+  // localize-node reported 18446744073709551615 simultaneous failures.
+  const std::vector<std::vector<const char*>> cases = {
+      {"rnt_cli", "evaluate", "--nodes", "20", "--links", "30", "--paths",
+       "30", "--scenarios", "-1"},
+      {"rnt_cli", "localize-node", "--nodes", "20", "--links", "30",
+       "--paths", "30", "--k", "-1"}};
+  for (const auto& argv : cases) {
+    const std::string flag = argv[argv.size() - 2];
+    std::ostringstream out;
+    try {
+      dispatch(static_cast<int>(argv.size()),
+               const_cast<char**>(argv.data()), out);
+      ADD_FAILURE() << argv[1] << " accepted " << flag << " -1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(out.str().find("18446744073709551615"), std::string::npos);
   }
 }
 

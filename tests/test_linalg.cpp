@@ -1,21 +1,29 @@
 // Unit and property tests for the linear algebra substrate: matrix ops,
-// elimination / rank / null space, the incremental basis oracle (validated
-// against exact rational elimination), Cholesky basis selection, and SVD.
+// elimination / rank / null space (validated against the testkit's exact
+// integer rank referee), the incremental basis oracle, and Cholesky basis
+// selection.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <numeric>
 
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
 #include "linalg/matrix.h"
-#include "linalg/rational.h"
-#include "linalg/svd.h"
+#include "testkit/oracles.h"
 #include "util/rng.h"
 
 namespace rnt::linalg {
 namespace {
+
+/// The exact rank referee on the matrix's dense rows.
+std::size_t referee_rank(const Matrix& m) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    rows.emplace_back(m.row(r).begin(), m.row(r).end());
+  }
+  return testkit::exact_rank(rows);
+}
 
 Matrix random_binary_matrix(std::size_t rows, std::size_t cols, double density,
                             Rng& rng) {
@@ -118,13 +126,13 @@ TEST(Elimination, RankWithDependentRows) {
   EXPECT_EQ(rank(m), 2u);
 }
 
-TEST(Elimination, RankMatchesExactRationalOnRandomBinary) {
+TEST(Elimination, RankMatchesExactRankOnRandomBinary) {
   Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t rows = 2 + rng.index(10);
     const std::size_t cols = 2 + rng.index(10);
     Matrix m = random_binary_matrix(rows, cols, 0.35, rng);
-    EXPECT_EQ(rank(m), exact_rank(m)) << "trial " << trial;
+    EXPECT_EQ(rank(m), referee_rank(m)) << "trial " << trial;
   }
 }
 
@@ -325,49 +333,13 @@ TEST(IncrementalBasis, DimensionMismatchThrows) {
 }
 
 // --------------------------------------------------------------------------
-// Rational / exact rank
+// Exact rank referee on known matrices
 // --------------------------------------------------------------------------
 
-TEST(Rational, ArithmeticAndNormalization) {
-  const Rational half(1, 2);
-  const Rational third(1, 3);
-  EXPECT_EQ(half + third, Rational(5, 6));
-  EXPECT_EQ(half - third, Rational(1, 6));
-  EXPECT_EQ(half * third, Rational(1, 6));
-  EXPECT_EQ(half / third, Rational(3, 2));
-  EXPECT_EQ(Rational(2, 4), Rational(1, 2));
-  EXPECT_EQ(Rational(3, -6), Rational(-1, 2));
-  EXPECT_EQ((-Rational(1, 2)).num(), -1);
-}
-
-TEST(Rational, ComparisonOrdering) {
-  EXPECT_LT(Rational(1, 3), Rational(1, 2));
-  EXPECT_GT(Rational(-1, 3), Rational(-1, 2));
-  EXPECT_EQ(Rational(0), Rational(0, 5));
-}
-
-TEST(Rational, ErrorsAndOverflow) {
-  EXPECT_THROW(Rational(1, 0), std::domain_error);
-  EXPECT_THROW(Rational(1, 2) / Rational(0), std::domain_error);
-  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
-  EXPECT_THROW(Rational(big, 1) + Rational(big, 1), RationalOverflow);
-}
-
-TEST(Rational, ToStringAndDouble) {
-  EXPECT_EQ(Rational(7).to_string(), "7");
-  EXPECT_EQ(Rational(-3, 4).to_string(), "-3/4");
-  EXPECT_DOUBLE_EQ(Rational(1, 4).to_double(), 0.25);
-}
-
 TEST(ExactRank, KnownMatrices) {
-  EXPECT_EQ(exact_rank(Matrix::identity(5)), 5u);
+  EXPECT_EQ(referee_rank(Matrix::identity(5)), 5u);
   Matrix dep{{1, 1, 0}, {0, 1, 1}, {1, 2, 1}};
-  EXPECT_EQ(exact_rank(dep), 2u);
-}
-
-TEST(ExactRank, RejectsNonIntegerEntries) {
-  Matrix m{{0.5, 1.0}};
-  EXPECT_THROW(exact_rank(m), std::invalid_argument);
+  EXPECT_EQ(referee_rank(dep), 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -402,62 +374,6 @@ TEST(Cholesky, ResidualOfDependentRowIsZero) {
   EXPECT_NEAR(chol.residual(dep), 0.0, 1e-8);
   EXPECT_FALSE(chol.try_add(dep));
   EXPECT_EQ(chol.rank(), 2u);
-}
-
-// --------------------------------------------------------------------------
-// SVD
-// --------------------------------------------------------------------------
-
-TEST(Svd, SingularValuesOfDiagonal) {
-  Matrix m(3, 3);
-  m(0, 0) = 3.0;
-  m(1, 1) = 2.0;
-  m(2, 2) = 1.0;
-  const auto sv = singular_values(m);
-  ASSERT_EQ(sv.size(), 3u);
-  EXPECT_NEAR(sv[0], 3.0, 1e-9);
-  EXPECT_NEAR(sv[1], 2.0, 1e-9);
-  EXPECT_NEAR(sv[2], 1.0, 1e-9);
-}
-
-TEST(Svd, RankMatchesEliminationOnRandomBinary) {
-  Rng rng(77);
-  for (int trial = 0; trial < 30; ++trial) {
-    Matrix m = random_binary_matrix(4 + rng.index(10), 4 + rng.index(10),
-                                    0.4, rng);
-    EXPECT_EQ(svd_rank(m), rank(m)) << "trial " << trial;
-  }
-}
-
-TEST(Svd, FrobeniusNormPreserved) {
-  // sum of squared singular values == squared Frobenius norm.
-  Rng rng(78);
-  Matrix m = random_binary_matrix(8, 5, 0.5, rng);
-  double frob2 = 0.0;
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) frob2 += m(r, c) * m(r, c);
-  }
-  double sv2 = 0.0;
-  for (double s : singular_values(m)) sv2 += s * s;
-  EXPECT_NEAR(sv2, frob2, 1e-6);
-}
-
-TEST(Svd, TransposeInvariant) {
-  Rng rng(79);
-  Matrix m = random_binary_matrix(9, 4, 0.4, rng);
-  const auto a = singular_values(m);
-  const auto b = singular_values(m.transposed());
-  ASSERT_EQ(a.size(), 4u);
-  ASSERT_GE(b.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-8);
-  }
-}
-
-TEST(Svd, EmptyMatrix) {
-  EXPECT_TRUE(singular_values(Matrix()).empty());
-  EXPECT_EQ(svd_rank(Matrix()), 0u);
-  EXPECT_EQ(svd_rank(Matrix(3, 3)), 0u);  // Zero matrix.
 }
 
 }  // namespace

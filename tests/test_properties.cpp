@@ -15,7 +15,6 @@
 #include "exp/workload.h"
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
-#include "linalg/svd.h"
 #include "testkit/checks.h"
 #include "testkit/instance.h"
 
@@ -48,17 +47,15 @@ TEST_P(CrossTopology, WorkloadSane) {
 
 TEST_P(CrossTopology, RankOraclesAgree) {
   // The testkit check referees every production rank path (elimination,
-  // QR, sparse, incremental basis, row-subset selectors) against its own
-  // self-contained naive elimination, on the full system and on a seeded
-  // random subset.  SVD is not part of the harness check, so it keeps an
-  // explicit assertion here.
+  // sparse, incremental basis, row-subset selectors) against the exact
+  // integer rank referee, on the full system and on a seeded random
+  // subset.  At 120 paths the full ranks (50-66) are past what a single
+  // 61-bit prime can referee.
   const exp::Workload w = make(120);
   const testkit::TestInstance inst = testkit::from_workload(w, 7);
   const testkit::CheckResult r = testkit::run_check(
       *testkit::find_check("rank-oracles-agree"), inst);
   EXPECT_TRUE(r.passed) << r.message;
-  const auto& m = w.system->matrix();
-  EXPECT_EQ(linalg::svd_rank(m), linalg::rank(m));
 }
 
 TEST_P(CrossTopology, BasisSelectorsAgreeOnRank) {

@@ -1,6 +1,6 @@
 // Tests for the scenario-sliced rank kernel: sliced_ranks against the
-// per-instance exact_rank_masked oracle at word-boundary instance counts,
-// lane-width and fallback-tier parity, the GF(3) bit-plane add formula
+// testkit's exact rank referee per instance at word-boundary instance
+// counts, lane-width parity, the GF(3) bit-plane add formula
 // over all nine digit pairs, degenerate instances (nothing survives), and
 // the engine-level contracts (duplicate-scenario dedup, per-kernel rank
 // memo isolation).
@@ -16,6 +16,7 @@
 #include "exp/workload.h"
 #include "linalg/bitrank.h"
 #include "linalg/slicedrank.h"
+#include "testkit/oracles.h"
 #include "util/rng.h"
 
 namespace rnt::linalg {
@@ -54,18 +55,20 @@ SlicedCase random_case(Rng& rng, std::size_t n_rows, std::size_t cols,
   return c;
 }
 
-/// Per-instance oracle: exact_rank_masked over the rows alive in s.
+/// Per-instance oracle: the exact rank referee over the rows alive in s.
 std::vector<std::size_t> oracle_ranks(const SlicedCase& c) {
   std::vector<std::size_t> out(c.instances, 0);
-  const std::size_t keep_words = (c.rows.rows() + 63) / 64;
   for (std::size_t s = 0; s < c.instances; ++s) {
-    std::vector<std::uint64_t> keep(keep_words == 0 ? 1 : keep_words, 0);
+    std::vector<std::vector<double>> alive_rows;
     for (std::size_t r = 0; r < c.rows.rows(); ++r) {
       if ((c.alive[r * c.stride + s / 64] >> (s % 64)) & 1u) {
-        keep[r / 64] |= std::uint64_t{1} << (r % 64);
+        auto& row = alive_rows.emplace_back(c.rows.cols(), 0.0);
+        for (std::size_t l = 0; l < c.rows.cols(); ++l) {
+          if (c.rows.bit(r, l)) row[l] = 1.0;
+        }
       }
     }
-    out[s] = exact_rank_masked(c.rows, keep);
+    out[s] = testkit::exact_rank(alive_rows);
   }
   return out;
 }
@@ -80,18 +83,11 @@ TEST(SlicedRanks, MatchesOracleAcrossWordBoundaries) {
       const SlicedCase c =
           random_case(rng, 24, 40, instances, 0.2, 0.7);
       const auto expected = oracle_ranks(c);
-      const auto exact = sliced_ranks(c.rows, c.alive, c.instances,
-                                      SliceLane::kAuto,
-                                      SlicedFallback::kExact);
-      const auto flt = sliced_ranks(c.rows, c.alive, c.instances,
-                                    SliceLane::kAuto,
-                                    SlicedFallback::kFloat);
-      ASSERT_EQ(exact.size(), instances);
+      const auto got = sliced_ranks(c.rows, c.alive, c.instances);
+      ASSERT_EQ(got.size(), instances);
       for (std::size_t s = 0; s < instances; ++s) {
-        EXPECT_EQ(exact[s], expected[s])
+        EXPECT_EQ(got[s], expected[s])
             << instances << " instances, rep " << rep << ", instance " << s;
-        EXPECT_EQ(flt[s], expected[s])
-            << "float tier, " << instances << " instances, instance " << s;
       }
     }
   }
@@ -124,12 +120,7 @@ TEST(SlicedRanks, NothingSurvivingRanksZero) {
   const auto expected = oracle_ranks(c);
   EXPECT_EQ(expected[0], 0u);
   EXPECT_EQ(expected[64], 0u);
-  for (const SlicedFallback tier :
-       {SlicedFallback::kExact, SlicedFallback::kFloat}) {
-    const auto got = sliced_ranks(c.rows, c.alive, c.instances,
-                                  SliceLane::kAuto, tier);
-    EXPECT_EQ(got, expected);
-  }
+  EXPECT_EQ(sliced_ranks(c.rows, c.alive, c.instances), expected);
 
   // And the fully degenerate corners: no rows at all, zero instances.
   const BitRows empty(30);

@@ -1,5 +1,5 @@
-// Tests for the structural analysis extensions: LU decomposition, bridge /
-// articulation detection, and the Gilbert-Elliott bursty failure model.
+// Tests for the structural analysis extensions: bridge / articulation
+// detection and the Gilbert-Elliott bursty failure model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,71 +9,10 @@
 #include "graph/bridges.h"
 #include "graph/generators.h"
 #include "graph/isp_topology.h"
-#include "linalg/lu.h"
 #include "util/rng.h"
 
 namespace rnt {
 namespace {
-
-// --------------------------------------------------------------------------
-// LU decomposition
-// --------------------------------------------------------------------------
-
-TEST(Lu, SolvesKnownSystem) {
-  linalg::Matrix a{{2, 1}, {1, 3}};
-  const std::vector<double> b = {5, 10};
-  const auto x = linalg::lu_solve(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-12);
-  EXPECT_NEAR((*x)[1], 3.0, 1e-12);
-}
-
-TEST(Lu, DetectsSingularity) {
-  linalg::Matrix a{{1, 2}, {2, 4}};
-  linalg::LuDecomposition lu(a);
-  EXPECT_TRUE(lu.is_singular());
-  EXPECT_DOUBLE_EQ(lu.determinant(), 0.0);
-  const std::vector<double> b = {1, 2};
-  EXPECT_FALSE(lu.solve(b).has_value());
-}
-
-TEST(Lu, DeterminantKnownValues) {
-  EXPECT_NEAR(linalg::LuDecomposition(linalg::Matrix::identity(4)).determinant(),
-              1.0, 1e-12);
-  linalg::Matrix a{{0, 1}, {1, 0}};  // Permutation: det = -1.
-  EXPECT_NEAR(linalg::LuDecomposition(a).determinant(), -1.0, 1e-12);
-  linalg::Matrix b{{2, 0}, {0, 3}};
-  EXPECT_NEAR(linalg::LuDecomposition(b).determinant(), 6.0, 1e-12);
-}
-
-TEST(Lu, RandomSystemsRoundTrip) {
-  Rng rng(1);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + rng.index(8);
-    linalg::Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-2, 2);
-      a(r, r) += 3.0;  // Diagonally dominant: nonsingular.
-    }
-    std::vector<double> x_true(n);
-    for (double& v : x_true) v = rng.uniform(-5, 5);
-    const auto b = a.multiply(std::span<const double>(x_true));
-    const auto x = linalg::lu_solve(a, b);
-    ASSERT_TRUE(x.has_value());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR((*x)[i], x_true[i], 1e-8);
-    }
-  }
-}
-
-TEST(Lu, RejectsNonSquareAndBadRhs) {
-  linalg::Matrix a(2, 3);
-  EXPECT_THROW(linalg::LuDecomposition{a}, std::invalid_argument);
-  linalg::Matrix sq = linalg::Matrix::identity(2);
-  linalg::LuDecomposition lu(sq);
-  const std::vector<double> bad = {1, 2, 3};
-  EXPECT_THROW(lu.solve(bad), std::invalid_argument);
-}
 
 // --------------------------------------------------------------------------
 // Bridges and articulation points

@@ -359,6 +359,20 @@ TEST(Flags, RejectsMalformedValues) {
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Flags, CountsRejectNegativesInsteadOfWrapping) {
+  const char* argv[] = {"prog", "--n=5", "--m=-1"};
+  Flags flags(3, argv);
+  EXPECT_EQ(flags.get_count("n", 0), 5u);
+  EXPECT_EQ(flags.get_count("absent", 9), 9u);
+  try {
+    flags.get_count("m", 0);
+    ADD_FAILURE() << "negative count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--m"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Flags, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "stray"};
   EXPECT_THROW(Flags(2, argv), std::invalid_argument);

@@ -43,7 +43,7 @@ namespace {
 /// Builds the workload shared by select / evaluate / learn / localize.
 exp::Workload build_workload(Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto paths = static_cast<std::size_t>(flags.get_int("paths", 400));
+  const auto paths = flags.get_count("paths", 400);
   const double intensity = flags.get_double("intensity", 5.0);
   const std::string input = flags.get_string("input", "");
   const std::string as_name = flags.get_string("as", "");
@@ -69,8 +69,8 @@ exp::Workload build_workload(Flags& flags) {
     spec.failure_intensity = intensity;
     return exp::make_workload(spec);
   }
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-  const auto links = static_cast<std::size_t>(flags.get_int("links", 161));
+  const auto nodes = flags.get_count("nodes", 87);
+  const auto links = flags.get_count("links", 161);
   return exp::make_custom_workload(nodes, links, paths, seed, intensity);
 }
 
@@ -317,8 +317,8 @@ int cmd_topology(Flags& flags, std::ostream& out) {
     Rng rng(seed);
     g = graph::build_isp_topology(graph::parse_isp_topology(as_name), rng);
   } else {
-    const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-    const auto links = static_cast<std::size_t>(flags.get_int("links", 161));
+    const auto nodes = flags.get_count("nodes", 87);
+    const auto links = flags.get_count("links", 161);
     Rng rng(seed);
     g = graph::build_isp_like(nodes, links, rng);
   }
@@ -389,8 +389,7 @@ int cmd_evaluate(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", 200));
+  const auto scenarios = flags.get_count("scenarios", 200);
   const bool identifiability = flags.get_bool("identifiability", false);
 
   const core::Selection sel =
@@ -427,7 +426,7 @@ int cmd_learn(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string which = flags.get_string("learner", "lsr");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 500));
+  const auto epochs = flags.get_count("epochs", 500);
 
   std::unique_ptr<learning::PathLearner> learner;
   if (which == "lsr") {
@@ -478,8 +477,7 @@ int cmd_localize(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto trials =
-      static_cast<std::size_t>(flags.get_int("scenarios", 300));
+  const auto trials = flags.get_count("scenarios", 300);
   const core::Selection sel =
       run_algorithm(w, algorithm, budget, w.seed,
                     flags.get_string("optimizer", "rome"),
@@ -507,12 +505,10 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
   if (family != "node" && family != "link") {
     throw std::invalid_argument("--family must be node or link");
   }
-  const auto k = static_cast<std::size_t>(flags.get_int("k", 2));
+  const auto k = flags.get_count("k", 2);
   if (k == 0) throw std::invalid_argument("--k must be positive");
-  const auto trials =
-      static_cast<std::size_t>(flags.get_int("scenarios", 300));
-  const auto ident_cap =
-      static_cast<std::size_t>(flags.get_int("ident-cap", 0));
+  const auto trials = flags.get_count("scenarios", 300);
+  const auto ident_cap = flags.get_count("ident-cap", 0);
   const boolnt::HypothesisSpace space =
       family == "link"
           ? boolnt::HypothesisSpace::links_of(w.system->link_count())
@@ -567,8 +563,8 @@ int cmd_infer(Flags& flags, std::ostream& out) {
   if (config.noise_std < 0.0) {
     throw std::invalid_argument("--noise must be non-negative");
   }
-  config.scenarios = static_cast<std::size_t>(flags.get_int("scenarios", 200));
-  config.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  config.scenarios = flags.get_count("scenarios", 200);
+  config.threads = flags.get_count("threads", 1);
 
   const core::Selection sel =
       run_algorithm(w, algorithm, budget, w.seed,
@@ -630,8 +626,7 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
   // not just how fragile they are.
   const std::vector<double> intensities =
       parse_intensities(flags.get_string("segments", "2,10,5"));
-  const auto segment_epochs =
-      static_cast<std::size_t>(flags.get_int("segment-epochs", 40));
+  const auto segment_epochs = flags.get_count("segment-epochs", 40);
   if (segment_epochs == 0) {
     throw std::invalid_argument("--segment-epochs must be positive");
   }
@@ -667,7 +662,7 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
   config.budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
   config.policy =
       online::parse_replan_policy(flags.get_string("policy", "adaptive"));
-  config.period = static_cast<std::size_t>(flags.get_int("period", 20));
+  config.period = flags.get_count("period", 20);
   // Deterministic given the seed, but non-zero so the estimation-error
   // series actually exercises the least-squares solver.
   config.probe.jitter_std_ms = flags.get_double("jitter", 0.5);
@@ -751,14 +746,13 @@ void print_server_banner(std::ostream& out, bool worker, std::uint16_t port,
 int run_server_command(Flags& flags, std::ostream& out, bool worker) {
   service::ReactorServerConfig config;
   config.port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
-  config.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  config.cache_capacity = static_cast<std::size_t>(flags.get_int("cache", 8));
+  config.threads = flags.get_count("threads", 0);
+  config.cache_capacity = flags.get_count("cache", 8);
   config.request_timeout_s = flags.get_double("timeout", 60.0);
-  config.max_queue = static_cast<std::size_t>(flags.get_int("max-queue", 0));
+  config.max_queue = flags.get_count("max-queue", 0);
   config.idle_timeout_ms = static_cast<std::uint64_t>(
       flags.get_double("idle-timeout", 0.0) * 1000.0);
-  config.max_connections =
-      static_cast<std::size_t>(flags.get_int("max-conns", 0));
+  config.max_connections = flags.get_count("max-conns", 0);
   flags.finish();
 
   service::ReactorServer server(config);
@@ -857,10 +851,9 @@ std::vector<double> parse_fracs(const std::string& csv) {
 int cmd_cluster(Flags& flags, std::ostream& out) {
   service::WorkloadKey key;
   key.topology = flags.get_string("as", "");
-  key.nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-  key.links = static_cast<std::size_t>(flags.get_int("links", 161));
-  key.candidate_paths =
-      static_cast<std::size_t>(flags.get_int("paths", 400));
+  key.nodes = flags.get_count("nodes", 87);
+  key.links = flags.get_count("links", 161);
+  key.candidate_paths = flags.get_count("paths", 400);
   key.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   key.intensity = flags.get_double("intensity", 5.0);
   key.unit_costs = flags.get_bool("unit-costs", false);
@@ -869,10 +862,10 @@ int cmd_cluster(Flags& flags, std::ostream& out) {
       flags.get_string("workers", ""), flags.get_string("weights", ""));
 
   cluster::CoordinatorConfig config;
-  config.runs = static_cast<std::size_t>(flags.get_int("runs", 50));
+  config.runs = flags.get_count("runs", 50);
   config.rpc.connect_timeout_s = flags.get_double("connect-timeout", 5.0);
   config.rpc.reply_timeout_s = flags.get_double("timeout", 60.0);
-  config.rpc.retries = static_cast<std::size_t>(flags.get_int("retries", 2));
+  config.rpc.retries = flags.get_count("retries", 2);
   config.rpc.backoff_s = flags.get_double("backoff", 0.05);
   config.heartbeat_interval_s =
       flags.get_double("heartbeat-interval", 0.0);
@@ -1007,11 +1000,10 @@ int cmd_fuzz(Flags& flags, std::ostream& out) {
 
   testkit::FuzzConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.cases = static_cast<std::size_t>(flags.get_int("cases", 1000));
+  config.cases = flags.get_count("cases", 1000);
   config.minutes = flags.get_double("minutes", 0.0);
   config.out_dir = flags.get_string("out", "");
-  config.max_failures =
-      static_cast<std::size_t>(flags.get_int("max-failures", 1));
+  config.max_failures = flags.get_count("max-failures", 1);
   config.shrink_failures = !flags.get_bool("no-shrink", false);
   config.fault = fault;
   const std::string checks_csv = flags.get_string("checks", "");
