@@ -1,12 +1,14 @@
 // Micro-benchmarks for the linear algebra substrate: batch vs. incremental
-// rank, the Cholesky independence test, and null-space extraction — the
-// primitives whose costs dominate the figure experiments.
+// rank, the Cholesky independence test, identifiable columns from one RREF
+// pass against the testkit's null-space reference — the primitives whose
+// costs dominate the figure experiments.
 #include <benchmark/benchmark.h>
 
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
 #include "linalg/sparse.h"
+#include "testkit/dense_reference.h"
 #include "tomo/monitors.h"
 #include "graph/isp_topology.h"
 #include "util/rng.h"
@@ -63,10 +65,12 @@ void BM_CholeskyBasis(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyBasis)->Arg(50)->Arg(100)->Arg(200);
 
+/// The testkit null-space basis that linalg::row_space replaced in
+/// production identifiability.
 void BM_NullSpace(benchmark::State& state) {
   const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::null_space(m));
+    benchmark::DoNotOptimize(testkit::null_space(m));
   }
 }
 BENCHMARK(BM_NullSpace)->Arg(50)->Arg(100);

@@ -1,26 +1,69 @@
 #include "exp/metrics.h"
 
-#include "tomo/identifiability.h"
+#include "tomo/row_classes.h"
 
 namespace rnt::exp {
+
+namespace {
+
+/// Rank and identifiable-link count of each class's surviving rows.
+struct ClassMetrics {
+  std::size_t rank = 0;
+  std::size_t identifiable = 0;
+};
+
+/// Samples `scenarios` failure vectors in rng order and groups them by the
+/// surviving rows of `subset`, one elimination per class.  Class 0 is
+/// `subset` itself (no failure on it); class_of[s] is scenario s's class.
+struct SampledClasses {
+  std::vector<std::size_t> class_of;
+  std::vector<ClassMetrics> metrics;
+};
+
+SampledClasses sample_classes(const tomo::PathSystem& system,
+                              const std::vector<std::size_t>& subset,
+                              const failures::FailureModel& model,
+                              std::size_t scenarios, bool identifiability,
+                              Rng& rng) {
+  tomo::RowClasses classes;
+  classes.intern(subset);
+  SampledClasses out;
+  out.class_of.reserve(scenarios);
+  for (std::size_t s = 0; s < scenarios; ++s) {
+    out.class_of.push_back(
+        classes.intern(system.surviving_rows(subset, model.sample(rng))));
+  }
+  // Rank-only callers skip the back-substitution.
+  out.metrics.reserve(classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (identifiability) {
+      const linalg::RowSpace space =
+          tomo::row_space_of(system, classes.rows(c));
+      out.metrics.push_back({space.rank, space.identifiable.size()});
+    } else {
+      out.metrics.push_back({system.rank_of(classes.rows(c)), 0});
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 SelectionEvaluation evaluate_selection(const tomo::PathSystem& system,
                                        const std::vector<std::size_t>& subset,
                                        const failures::FailureModel& model,
                                        const EvalOptions& options, Rng& rng) {
+  const SampledClasses sampled =
+      sample_classes(system, subset, model, options.scenarios,
+                     options.identifiability, rng);
   SelectionEvaluation eval;
-  eval.no_failure_rank = system.rank_of(subset);
-  if (options.identifiability) {
-    eval.no_failure_identifiability =
-        tomo::identifiable_count(system, subset);
-  }
-  for (std::size_t s = 0; s < options.scenarios; ++s) {
-    const failures::FailureVector v = model.sample(rng);
-    const auto survivors = system.surviving_rows(subset, v);
-    eval.rank.add(static_cast<double>(system.rank_of(survivors)));
+  eval.no_failure_rank = sampled.metrics[0].rank;
+  eval.no_failure_identifiability = sampled.metrics[0].identifiable;
+  for (const std::size_t c : sampled.class_of) {
+    eval.rank.add(static_cast<double>(sampled.metrics[c].rank));
     if (options.identifiability) {
-      eval.identifiability.add(static_cast<double>(
-          tomo::identifiable_links(system, survivors).size()));
+      eval.identifiability.add(
+          static_cast<double>(sampled.metrics[c].identifiable));
     }
   }
   return eval;
@@ -31,21 +74,18 @@ LossEvaluation evaluate_loss(const tomo::PathSystem& system,
                              const failures::FailureModel& model,
                              std::size_t scenarios, bool identifiability,
                              Rng& rng) {
+  const SampledClasses sampled =
+      sample_classes(system, subset, model, scenarios, identifiability, rng);
   LossEvaluation loss;
-  const double base_rank = static_cast<double>(system.rank_of(subset));
+  const double base_rank = static_cast<double>(sampled.metrics[0].rank);
   const double base_ident =
-      identifiability
-          ? static_cast<double>(tomo::identifiable_count(system, subset))
-          : 0.0;
-  for (std::size_t s = 0; s < scenarios; ++s) {
-    const failures::FailureVector v = model.sample(rng);
-    const auto survivors = system.surviving_rows(subset, v);
+      static_cast<double>(sampled.metrics[0].identifiable);
+  for (const std::size_t c : sampled.class_of) {
     loss.rank_loss.add(base_rank -
-                       static_cast<double>(system.rank_of(survivors)));
+                       static_cast<double>(sampled.metrics[c].rank));
     if (identifiability) {
       loss.identifiability_loss.add(
-          base_ident - static_cast<double>(
-                           tomo::identifiable_links(system, survivors).size()));
+          base_ident - static_cast<double>(sampled.metrics[c].identifiable));
     }
   }
   return loss;

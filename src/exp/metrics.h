@@ -42,13 +42,17 @@ struct EvalOptions {
 
 /// Samples failure scenarios from the model and measures the surviving
 /// rank (and optionally identifiability) of the selection in each.
+/// Scenarios that leave the same surviving rows share one elimination
+/// (tomo::RowClasses, for this call only); accumulation stays in scenario
+/// order, so the result equals the per-scenario loop exactly.
 SelectionEvaluation evaluate_selection(const tomo::PathSystem& system,
                                        const std::vector<std::size_t>& subset,
                                        const failures::FailureModel& model,
                                        const EvalOptions& options, Rng& rng);
 
 /// Rank loss per scenario: rank(subset, no failures) - rank(subset, v).
-/// Identifiability loss analogously.  Figures 8-9's metrics.
+/// Identifiability loss analogously.  Figures 8-9's metrics.  Eliminates
+/// once per surviving-row class, as evaluate_selection does.
 struct LossEvaluation {
   RunningStats rank_loss;
   RunningStats identifiability_loss;

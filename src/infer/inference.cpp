@@ -1,7 +1,10 @@
 #include "infer/inference.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+
+#include "tomo/row_classes.h"
 
 namespace rnt::infer {
 
@@ -33,41 +36,56 @@ InferenceReport run_inference(const tomo::PathSystem& system,
     scenarios.push_back(sampler(scenario_rng));
   }
 
-  const double fallback = prior_estimate(config.model, config.truth);
-  std::vector<ScenarioScore> scores(scenarios.size());
-  const auto solve_one = [&](std::size_t s) {
-    // The noise stream is keyed by scenario index, not by thread or
-    // completion order, so every schedule synthesizes identical bytes.
-    Rng noise_rng(derive_seed(seed, kNoiseSalt + s));
-    const Observations obs = synthesize_observations(
-        system, subset, truth, scenarios[s], config.noise_std, noise_rng);
-    const ScenarioSolution solution =
-        solve_scenario(system, obs, config.model, config.solve);
-    scores[s] = score_scenario(solution, truth, fallback);
-  };
+  // Scenarios that leave the same rows share one restricted system
+  // (rank, identifiable set, covered-link operator); classes are interned
+  // here, in scenario order, so the work below is schedule-independent.
+  tomo::RowClasses classes;
+  std::vector<std::size_t> class_of;
+  class_of.reserve(scenarios.size());
+  for (const failures::FailureVector& v : scenarios) {
+    class_of.push_back(classes.intern(system.surviving_rows(subset, v)));
+  }
 
   const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t workers =
-      std::min(scenarios.empty() ? std::size_t{1} : scenarios.size(),
-               std::max<std::size_t>(
-                   1, config.threads > 0 ? config.threads
-                                         : (hw > 0 ? hw : std::size_t{1})));
-  if (workers <= 1) {
-    for (std::size_t s = 0; s < scenarios.size(); ++s) solve_one(s);
-  } else {
+  const std::size_t requested =
+      config.threads > 0 ? config.threads : (hw > 0 ? hw : std::size_t{1});
+  const auto parallel_for = [requested](std::size_t n, const auto& body) {
+    const std::size_t workers = std::min(std::max<std::size_t>(n, 1),
+                                         std::max<std::size_t>(requested, 1));
+    if (workers <= 1) {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+      return;
+    }
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t t = 0; t < workers; ++t) {
       pool.emplace_back([&] {
-        for (std::size_t s = next.fetch_add(1); s < scenarios.size();
-             s = next.fetch_add(1)) {
-          solve_one(s);
+        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+          body(i);
         }
       });
     }
     for (std::thread& worker : pool) worker.join();
-  }
+  };
+
+  std::vector<RestrictedSystem> restricted(classes.size());
+  parallel_for(classes.size(), [&](std::size_t c) {
+    restricted[c] = restrict_system(system, classes.rows(c));
+  });
+
+  const double fallback = prior_estimate(config.model, config.truth);
+  std::vector<ScenarioScore> scores(scenarios.size());
+  parallel_for(scenarios.size(), [&](std::size_t s) {
+    // The noise stream is keyed by scenario index, not by thread or
+    // completion order, so every schedule synthesizes identical bytes.
+    Rng noise_rng(derive_seed(seed, kNoiseSalt + s));
+    const Observations obs = synthesize_observations(
+        system, subset, truth, scenarios[s], config.noise_std, noise_rng);
+    const ScenarioSolution solution = solve_restricted(
+        restricted[class_of[s]], obs, config.model, config.solve);
+    scores[s] = score_scenario(solution, truth, fallback);
+  });
 
   // Fixed-order reduction: the float accumulation tree depends only on
   // scenario index, making the report bitwise thread-count independent.

@@ -4,7 +4,9 @@
 // vector, synthesizes noisy observations on the surviving paths of the
 // probe subset, solves the restricted least-squares system, and scores
 // the estimate against ground truth; scores aggregate into an
-// InferenceReport.
+// InferenceReport.  Scenarios that leave the same surviving rows share one
+// RestrictedSystem (rank, identifiable set, covered-link operator), built
+// once per call; only CGLS runs per scenario.
 //
 // Determinism contract: everything derives from one 64-bit seed.
 // Scenarios are sampled up front on the calling thread, per-scenario

@@ -11,6 +11,12 @@
 // same value in every LS solution, so x† restricted to them is the
 // estimator of interest; entries outside the identifiable set are
 // min-norm artifacts and are reported but not scored.
+//
+// The restricted system depends only on which rows survived, not on the
+// observed values, so it is built once per surviving row list
+// (RestrictedSystem) and shared by every scenario with that list; only
+// CGLS runs per scenario.  Both run on the links the rows cover
+// (tomo::CoveredSystem), which is bitwise the full-width computation.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +29,21 @@
 namespace rnt::infer {
 
 struct SolveOptions {
-  linalg::CglsOptions cgls;  ///< Iteration cap / tolerance (0 = 2·cols).
+  /// Iteration cap / tolerance (cap 0 = 2 · link count).
+  linalg::CglsOptions cgls;
 };
+
+/// The surviving system of one row list: its covered-link operator, rank
+/// and identifiable links.
+struct RestrictedSystem {
+  std::vector<std::size_t> rows;  ///< Surviving path indices, in order.
+  tomo::CoveredSystem covered;
+  linalg::RowSpace space;         ///< Identifiable entries are link ids.
+};
+
+/// Builds the restricted system of `rows` (one elimination).
+RestrictedSystem restrict_system(const tomo::PathSystem& system,
+                                 const std::vector<std::size_t>& rows);
 
 /// Solution of one scenario's surviving system.
 struct ScenarioSolution {
@@ -42,8 +61,15 @@ struct ScenarioSolution {
   bool converged = false;          ///< CGLS hit its tolerance (vs the cap).
 };
 
-/// Solves the surviving system for one scenario's observations.  With no
+/// Solves one scenario's observations against a prepared restricted
+/// system; `observations.rows` must equal `restricted.rows`.  With no
 /// surviving rows the solution is all-zero with an empty identifiable set.
+ScenarioSolution solve_restricted(const RestrictedSystem& restricted,
+                                  const Observations& observations,
+                                  MeasurementModel model,
+                                  const SolveOptions& options = {});
+
+/// One-shot form: restrict_system(observations.rows), then solve.
 ScenarioSolution solve_scenario(const tomo::PathSystem& system,
                                 const Observations& observations,
                                 MeasurementModel model,

@@ -61,9 +61,6 @@ std::size_t rank_of_rows(const Matrix& m,
   return rank(m.select_rows(row_indices), tol);
 }
 
-namespace {
-
-/// Reduced row-echelon form (Gauss-Jordan) built on top of row_echelon.
 EchelonForm reduced_row_echelon(const Matrix& m, double tol) {
   EchelonForm ef = row_echelon(m, tol);
   Matrix& a = ef.reduced;
@@ -85,35 +82,28 @@ EchelonForm reduced_row_echelon(const Matrix& m, double tol) {
   return ef;
 }
 
-}  // namespace
-
-std::vector<std::vector<double>> null_space(const Matrix& m, double tol) {
-  std::vector<std::vector<double>> basis;
-  const std::size_t cols = m.cols();
-  if (cols == 0) return basis;
-  if (m.rows() == 0) {
-    // Whole space is the null space.
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::vector<double> v(cols, 0.0);
-      v[j] = 1.0;
-      basis.push_back(std::move(v));
-    }
-    return basis;
+RowSpace row_space(const Matrix& m, double tol) {
+  RowSpace out;
+  if (m.empty()) return out;
+  const EchelonForm ef = reduced_row_echelon(m, tol);
+  out.rank = ef.rank;
+  std::vector<bool> is_pivot(m.cols(), false);
+  for (const std::size_t pc : ef.pivots) is_pivot[pc] = true;
+  std::vector<std::size_t> free_cols;
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    if (!is_pivot[c]) free_cols.push_back(c);
   }
-  EchelonForm ef = reduced_row_echelon(m, tol);
-  std::vector<bool> is_pivot(cols, false);
-  for (std::size_t pc : ef.pivots) is_pivot[pc] = true;
-  for (std::size_t free_col = 0; free_col < cols; ++free_col) {
-    if (is_pivot[free_col]) continue;
-    std::vector<double> v(cols, 0.0);
-    v[free_col] = 1.0;
-    // Each pivot variable x_{pc} = -R(i, free_col) with the free var at 1.
-    for (std::size_t i = 0; i < ef.rank; ++i) {
-      v[ef.pivots[i]] = -ef.reduced(i, free_col);
+  for (std::size_t i = 0; i < ef.rank; ++i) {
+    bool pinned = true;
+    for (const std::size_t f : free_cols) {
+      if (std::abs(ef.reduced(i, f)) > tol) {
+        pinned = false;
+        break;
+      }
     }
-    basis.push_back(std::move(v));
+    if (pinned) out.identifiable.push_back(ef.pivots[i]);
   }
-  return basis;
+  return out;
 }
 
 std::optional<std::vector<double>> solve(const Matrix& a,
@@ -141,20 +131,7 @@ std::optional<std::vector<double>> solve(const Matrix& a,
 }
 
 std::vector<std::size_t> identifiable_columns(const Matrix& m, double tol) {
-  std::vector<std::size_t> out;
-  if (m.cols() == 0) return out;
-  const auto ns = null_space(m, tol);
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    bool identifiable = true;
-    for (const auto& v : ns) {
-      if (std::abs(v[j]) > tol) {
-        identifiable = false;
-        break;
-      }
-    }
-    if (identifiable) out.push_back(j);
-  }
-  return out;
+  return row_space(m, tol).identifiable;
 }
 
 std::vector<std::size_t> independent_row_subset(

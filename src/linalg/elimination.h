@@ -1,12 +1,12 @@
 // Gaussian elimination with partial pivoting: rank, row-echelon form,
-// null-space basis, and linear-system solving for the tomography linear
-// system A x = y.
+// row-space structure (rank plus identifiable columns), and linear-system
+// solving for the tomography linear system A x = y.
 //
 // Tolerance note: path matrices are 0/1 with modest dimensions, so entries
 // of eliminated rows stay well-scaled; kDefaultTolerance is far below the
 // smallest nonzero pivot that arises in practice and far above accumulated
-// round-off.  Tests cross-validate double-precision ranks against exact
-// rational elimination (rational.h).
+// round-off.  Tests cross-validate double-precision ranks against the
+// exact integer rank referee (testkit::exact_rank).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +29,11 @@ struct EchelonForm {
 /// Reduces a copy of `m` to row-echelon form with partial pivoting.
 EchelonForm row_echelon(const Matrix& m, double tol = kDefaultTolerance);
 
+/// Reduced row-echelon form (Gauss-Jordan): row_echelon, then each pivot
+/// row normalized and the entries above every pivot cleared.
+EchelonForm reduced_row_echelon(const Matrix& m,
+                                double tol = kDefaultTolerance);
+
 /// Rank of `m` over the reals (within tolerance).
 std::size_t rank(const Matrix& m, double tol = kDefaultTolerance);
 
@@ -37,21 +42,28 @@ std::size_t rank_of_rows(const Matrix& m,
                          const std::vector<std::size_t>& row_indices,
                          double tol = kDefaultTolerance);
 
-/// Basis of the null space of `m` (each inner vector has m.cols() entries).
-/// The number of returned vectors equals cols - rank.
-std::vector<std::vector<double>> null_space(const Matrix& m,
-                                            double tol = kDefaultTolerance);
-
 /// Least-structure solve: returns any solution x of A x = y if the system is
 /// consistent, std::nullopt otherwise.  Free variables are set to zero.
 std::optional<std::vector<double>> solve(const Matrix& a,
                                          std::span<const double> y,
                                          double tol = kDefaultTolerance);
 
-/// Indices (into columns of `m`) of variables whose value is uniquely
-/// determined by the system m x = y for consistent y — i.e. columns j with
-/// e_j in the row space of m.  Computed via the null-space: x_j is
-/// identifiable iff every null-space basis vector has a zero j-th entry.
+/// Rank and identifiable columns of one matrix.
+struct RowSpace {
+  std::size_t rank = 0;
+  /// Ascending columns j with e_j in the row space: the variables whose
+  /// value m x = y pins down uniquely for consistent y.
+  std::vector<std::size_t> identifiable;
+};
+
+/// Both answers from one reduced row-echelon pass.  Column j is
+/// identifiable iff it is a pivot column and |R(i, f)| <= tol in its pivot
+/// row i for every free column f: the same test as "every null-space basis
+/// vector is zero at j", since the basis vector of free column f carries
+/// -R(i, f) at pivot column j, without building the cols - rank vectors.
+RowSpace row_space(const Matrix& m, double tol = kDefaultTolerance);
+
+/// row_space(m).identifiable.
 std::vector<std::size_t> identifiable_columns(const Matrix& m,
                                               double tol = kDefaultTolerance);
 

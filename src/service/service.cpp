@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -35,6 +36,17 @@ WorkloadKey key_from(const Request& request) {
   key.intensity = request.get_double("intensity", 5.0);
   key.unit_costs = request.get_bool("unit-costs", false);
   return key;
+}
+
+/// A count parameter that must be positive; zero is answered with
+/// "<verb>: <key> must be positive".
+std::size_t positive_count(const Request& request, const std::string& key,
+                           std::size_t def, const std::string& verb) {
+  const std::size_t n = request.get_count(key, def);
+  if (n == 0) {
+    throw std::invalid_argument(verb + ": " + key + " must be positive");
+  }
+  return n;
 }
 
 double total_cost(const exp::Workload& w) {
@@ -327,12 +339,12 @@ Response Service::dispatch(const Request& request) {
       return r;
     }
     case RequestType::kErEval: {
+      exp::EvalOptions opts;
+      opts.scenarios = positive_count(request, "scenarios", 200, "er-eval");
+      opts.identifiability = false;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
-      exp::EvalOptions opts;
-      opts.scenarios = request.get_count("scenarios", 200);
-      opts.identifiability = false;
       Rng rng = w.eval_rng();
       const auto eval =
           exp::evaluate_selection(*w.system, subset, *w.failures, opts, rng);
@@ -355,12 +367,13 @@ Response Service::dispatch(const Request& request) {
       return r;
     }
     case RequestType::kIdentifiability: {
+      exp::EvalOptions opts;
+      opts.scenarios =
+          positive_count(request, "scenarios", 200, "identifiability");
+      opts.identifiability = true;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
-      exp::EvalOptions opts;
-      opts.scenarios = request.get_count("scenarios", 200);
-      opts.identifiability = true;
       Rng rng = w.eval_rng();
       const auto eval =
           exp::evaluate_selection(*w.system, subset, *w.failures, opts, rng);
@@ -499,11 +512,8 @@ Response Service::dispatch(const Request& request) {
       return r;
     }
     case RequestType::kShardEval: {
+      const auto runs = positive_count(request, "runs", 50, "shard-eval");
       const auto cw = cache_.get(key_from(request));
-      const auto runs = request.get_count("runs", 50);
-      if (runs == 0) {
-        throw std::invalid_argument("shard-eval: runs must be positive");
-      }
       const core::KernelErEngine& engine = cw->kernel_engine(
           runs, core::parse_kernel_mode(request.get("kernel", "auto")));
       const std::vector<std::size_t> subset = parse_subset(
@@ -527,10 +537,10 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kShardSweep:
       return handle_shard_sweep(request);
     case RequestType::kLocalize: {
+      const auto trials = positive_count(request, "scenarios", 300, "localize");
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
-      const auto trials = request.get_count("scenarios", 300);
       Rng rng = w.eval_rng();
       const auto score = tomo::score_localization(*w.system, subset,
                                                   *w.failures, trials, rng);
@@ -558,11 +568,9 @@ Response Service::dispatch(const Request& request) {
         throw std::invalid_argument(
             "localize-node: family must be node or link");
       }
-      const auto k = request.get_count("k", 2);
-      if (k == 0) {
-        throw std::invalid_argument("localize-node: k must be positive");
-      }
-      const auto trials = request.get_count("scenarios", 300);
+      const auto k = positive_count(request, "k", 2, "localize-node");
+      const auto trials =
+          positive_count(request, "scenarios", 300, "localize-node");
       const auto ident_cap = request.get_count("ident-cap", 0);
       Rng rng = w.eval_rng();
       const auto score = boolnt::score_multi_localization(
@@ -601,10 +609,11 @@ Response Service::dispatch(const Request& request) {
       config.model =
           infer::parse_measurement_model(request.get("model", "delay"));
       config.noise_std = request.get_double("noise", 0.05);
-      if (config.noise_std < 0.0) {
-        throw std::invalid_argument("infer: noise must be non-negative");
+      if (!std::isfinite(config.noise_std) || config.noise_std < 0.0) {
+        throw std::invalid_argument(
+            "infer: noise must be finite and non-negative");
       }
-      config.scenarios = request.get_count("scenarios", 200);
+      config.scenarios = positive_count(request, "scenarios", 200, "infer");
       // One solver worker: handler concurrency already comes from the
       // request pool, and threads=1 keeps per-request latency honest.
       config.threads = 1;
@@ -655,11 +664,8 @@ Response Service::handle_shard_sweep(const Request& request) {
                           std::to_string(end);
 
   if (op == "init") {
+    const auto runs = positive_count(request, "runs", 50, "shard-sweep");
     const auto cw = cache_.get(key_from(request));
-    const auto runs = request.get_count("runs", 50);
-    if (runs == 0) {
-      throw std::invalid_argument("shard-sweep: runs must be positive");
-    }
     const core::KernelErEngine& engine = cw->kernel_engine(
         runs, core::parse_kernel_mode(request.get("kernel", "auto")));
     if (static_cast<std::size_t>(end) > engine.scenario_count()) {

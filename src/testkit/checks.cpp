@@ -1,6 +1,7 @@
 #include "testkit/checks.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numbers>
@@ -30,6 +31,9 @@
 #include "service/protocol.h"
 #include "service/workload_cache.h"
 #include "core/selectors/selector.h"
+#include "exp/metrics.h"
+#include "infer/inference.h"
+#include "testkit/dense_reference.h"
 #include "testkit/oracles.h"
 #include "testkit/table_engine.h"
 #include "util/rng.h"
@@ -1307,6 +1311,188 @@ CheckResult check_family_engines_agree(const TestInstance& inst,
   return CheckResult::ok();
 }
 
+// --------------------------------------------------------------------------
+// 18. The covered-link, class-memoized surviving system is bitwise the
+//     full-width dense computation it replaced, scenario by scenario.
+// --------------------------------------------------------------------------
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_stats(const RunningStats& a, const RunningStats& b) {
+  return a.count() == b.count() && same_bits(a.mean(), b.mean()) &&
+         same_bits(a.variance(), b.variance()) &&
+         same_bits(a.min(), b.min()) && same_bits(a.max(), b.max());
+}
+
+bool same_distribution(const exp::MetricDistribution& a,
+                       const exp::MetricDistribution& b) {
+  return same_stats(a.stats, b.stats) &&
+         same_bits(a.distribution.sorted(), b.distribution.sorted());
+}
+
+bool same_solution(const infer::ScenarioSolution& a,
+                   const infer::ScenarioSolution& b) {
+  return a.rank == b.rank && a.identifiable == b.identifiable &&
+         same_bits(a.additive, b.additive) &&
+         same_bits(a.natural, b.natural) && a.iterations == b.iterations &&
+         same_bits(a.residual_norm, b.residual_norm) &&
+         a.converged == b.converged && a.surviving_rows == b.surviving_rows;
+}
+
+bool same_report(const infer::InferenceReport& a,
+                 const infer::InferenceReport& b) {
+  return a.scenarios == b.scenarios && a.solved == b.solved &&
+         a.converged == b.converged && same_stats(a.mse, b.mse) &&
+         same_stats(a.network_mse, b.network_mse) &&
+         same_stats(a.mean_abs_error, b.mean_abs_error) &&
+         same_stats(a.max_abs_error, b.max_abs_error) &&
+         same_stats(a.coverage, b.coverage) &&
+         same_stats(a.identifiable, b.identifiable) &&
+         same_stats(a.residual, b.residual) &&
+         same_stats(a.iterations, b.iterations);
+}
+
+}  // namespace
+
+CheckResult check_restricted_solve_matches_dense(const TestInstance& inst,
+                                                 const FaultPlan&) {
+  Rng rng = check_rng(inst, "restricted-solve-matches-dense");
+  // Selections list paths in pick order, not ascending, and row order is
+  // part of a class key: shuffle the random subsets.
+  std::vector<std::vector<std::size_t>> subsets = {
+      all_paths(inst), random_subset(rng, inst.path_count()),
+      random_subset(rng, inst.path_count())};
+  rng.shuffle(subsets[1]);
+  rng.shuffle(subsets[2]);
+  constexpr std::size_t kScenarios = 6;
+  const failures::FailureVector no_failure(inst.link_count(), false);
+  // Default options, and a zero tolerance that runs CGLS to its default
+  // iteration cap (2 * link count on both sides).
+  infer::SolveOptions to_cap;
+  to_cap.cgls.tolerance = 0.0;
+
+  for (const auto& subset : subsets) {
+    const std::string where = std::to_string(subset.size()) + " paths";
+    // Row space, rank and one noisy solve per model on the surviving rows
+    // of a few scenarios (the first is the subset itself), against the
+    // full-width dense computation and the exact referee.
+    for (std::size_t s = 0; s < kScenarios; ++s) {
+      const std::vector<std::size_t> rows =
+          s == 0 ? subset
+                 : inst.system.surviving_rows(subset, inst.model.sample(rng));
+      const linalg::RowSpace space = tomo::row_space_of(inst.system, rows);
+      const std::size_t rank_of = inst.system.rank_of(rows);
+      const std::size_t dense = dense_rank(inst.system, rows);
+      const std::size_t exact = exact_rank(dense_rows(inst, rows));
+      if (space.rank != dense || rank_of != dense || dense != exact) {
+        return CheckResult::fail(
+            where + ", " + std::to_string(rows.size()) +
+            " surviving: row_space_of rank " + std::to_string(space.rank) +
+            ", rank_of " + std::to_string(rank_of) + ", dense " +
+            std::to_string(dense) + ", exact " + std::to_string(exact));
+      }
+      if (space.identifiable != dense_identifiable(inst.system, rows)) {
+        return CheckResult::fail(where +
+                                 ": row_space_of identifiable links differ "
+                                 "from the full-width null space");
+      }
+
+      for (const infer::MeasurementModel model :
+           {infer::MeasurementModel::kDelay, infer::MeasurementModel::kLoss}) {
+        const infer::GroundTruth truth =
+            infer::draw_ground_truth(model, inst.link_count(), rng);
+        const infer::Observations obs = infer::synthesize_observations(
+            inst.system, rows, truth, no_failure, /*noise_std=*/0.05, rng);
+        for (const infer::SolveOptions& options :
+             {infer::SolveOptions{}, to_cap}) {
+          const infer::ScenarioSolution got =
+              infer::solve_scenario(inst.system, obs, model, options);
+          const infer::ScenarioSolution want =
+              dense_solve_scenario(inst.system, obs, model, options);
+          if (!same_solution(got, want)) {
+            return CheckResult::fail(
+                where + ", " + infer::to_string(model) + " model, tolerance " +
+                fmt(options.cgls.tolerance) + ": solve_scenario (rank " +
+                std::to_string(got.rank) + ", " +
+                std::to_string(got.iterations) + " iterations, residual " +
+                fmt(got.residual_norm) +
+                ") differs from the dense solve (rank " +
+                std::to_string(want.rank) + ", " +
+                std::to_string(want.iterations) + " iterations, residual " +
+                fmt(want.residual_norm) + ")");
+          }
+        }
+      }
+    }
+
+    // The class-memoized scenario loops against per-scenario dense loops
+    // fed the same streams.
+    const std::uint64_t seed = rng.next_word();
+    exp::EvalOptions options;
+    options.scenarios = 3 * kScenarios;
+    options.identifiability = true;
+    Rng memo_rng(seed);
+    Rng dense_rng(seed);
+    const exp::SelectionEvaluation memo = exp::evaluate_selection(
+        inst.system, subset, inst.model, options, memo_rng);
+    const exp::SelectionEvaluation dense = dense_evaluate_selection(
+        inst.system, subset, inst.model, options, dense_rng);
+    if (memo.no_failure_rank != dense.no_failure_rank ||
+        memo.no_failure_identifiability != dense.no_failure_identifiability ||
+        !same_distribution(memo.rank, dense.rank) ||
+        !same_distribution(memo.identifiability, dense.identifiability)) {
+      return CheckResult::fail(where + ": evaluate_selection mean rank " +
+                               fmt(memo.rank.stats.mean()) + " vs dense " +
+                               fmt(dense.rank.stats.mean()));
+    }
+    Rng memo_loss_rng(seed);
+    Rng dense_loss_rng(seed);
+    const exp::LossEvaluation memo_loss =
+        exp::evaluate_loss(inst.system, subset, inst.model, options.scenarios,
+                           /*identifiability=*/true, memo_loss_rng);
+    const exp::LossEvaluation dense_loss =
+        dense_evaluate_loss(inst.system, subset, inst.model,
+                            options.scenarios, true, dense_loss_rng);
+    if (!same_stats(memo_loss.rank_loss, dense_loss.rank_loss) ||
+        !same_stats(memo_loss.identifiability_loss,
+                    dense_loss.identifiability_loss)) {
+      return CheckResult::fail(where + ": evaluate_loss differs from the "
+                                       "per-scenario dense loop");
+    }
+
+    infer::InferenceConfig config;
+    config.scenarios = 2 * kScenarios;
+    const infer::GroundTruth truth = infer::campaign_truth(
+        config.model, inst.link_count(), seed, config.truth);
+    const infer::InferenceReport reference = dense_run_inference(
+        inst.system, subset, inst.model, truth, config, seed);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      config.threads = threads;
+      const infer::InferenceReport report = infer::run_inference(
+          inst.system, subset, inst.model, truth, config, seed);
+      if (!same_report(report, reference)) {
+        return CheckResult::fail(
+            where + ": run_inference(threads=" + std::to_string(threads) +
+            ") residual mean " + fmt(report.residual.mean()) + " vs dense " +
+            fmt(reference.residual.mean()));
+      }
+    }
+  }
+  return CheckResult::ok();
+}
+
 const std::vector<Check>& all_checks() {
   static const std::vector<Check> checks = {
       {"er-monotone-submodular",
@@ -1378,6 +1564,11 @@ const std::vector<Check>& all_checks() {
        "scenario/kernel-scalar/kernel-sliced ER bitwise identical across "
        "engines and thread counts",
        2, true, check_family_engines_agree},
+      {"restricted-solve-matches-dense",
+       "covered-link row space, rank_of, solve_scenario and the "
+       "class-memoized evaluate/infer loops are bitwise the full-width "
+       "dense per-scenario computation",
+       1, true, check_restricted_solve_matches_dense},
   };
   return checks;
 }

@@ -86,5 +86,7 @@ CheckResult check_inference_roundtrip(const TestInstance&, const FaultPlan&);
 CheckResult check_sliced_matches_scenario(const TestInstance&,
                                           const FaultPlan&);
 CheckResult check_optimizer_bounds(const TestInstance&, const FaultPlan&);
+CheckResult check_restricted_solve_matches_dense(const TestInstance&,
+                                                 const FaultPlan&);
 
 }  // namespace rnt::testkit

@@ -1,0 +1,170 @@
+#include "testkit/dense_reference.h"
+
+#include <cmath>
+#include <stdexcept>
+
+#include "linalg/cgls.h"
+#include "linalg/sparse.h"
+
+namespace rnt::testkit {
+
+std::vector<std::vector<double>> null_space(const linalg::Matrix& m,
+                                            double tol) {
+  std::vector<std::vector<double>> basis;
+  const std::size_t cols = m.cols();
+  if (cols == 0) return basis;
+  if (m.rows() == 0) {
+    // Whole space is the null space.
+    for (std::size_t j = 0; j < cols; ++j) {
+      std::vector<double> v(cols, 0.0);
+      v[j] = 1.0;
+      basis.push_back(std::move(v));
+    }
+    return basis;
+  }
+  const linalg::EchelonForm ef = linalg::reduced_row_echelon(m, tol);
+  std::vector<bool> is_pivot(cols, false);
+  for (const std::size_t pc : ef.pivots) is_pivot[pc] = true;
+  for (std::size_t free_col = 0; free_col < cols; ++free_col) {
+    if (is_pivot[free_col]) continue;
+    std::vector<double> v(cols, 0.0);
+    v[free_col] = 1.0;
+    // Each pivot variable x_{pc} = -R(i, free_col) with the free var at 1.
+    for (std::size_t i = 0; i < ef.rank; ++i) {
+      v[ef.pivots[i]] = -ef.reduced(i, free_col);
+    }
+    basis.push_back(std::move(v));
+  }
+  return basis;
+}
+
+std::vector<std::size_t> null_space_identifiable(const linalg::Matrix& m,
+                                                 double tol) {
+  std::vector<std::size_t> out;
+  const auto ns = null_space(m, tol);
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    bool identifiable = true;
+    for (const auto& v : ns) {
+      if (std::abs(v[j]) > tol) {
+        identifiable = false;
+        break;
+      }
+    }
+    if (identifiable) out.push_back(j);
+  }
+  return out;
+}
+
+std::size_t dense_rank(const tomo::PathSystem& system,
+                       const std::vector<std::size_t>& rows) {
+  return linalg::rank(system.matrix().select_rows(rows));
+}
+
+std::vector<std::size_t> dense_identifiable(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& rows) {
+  if (rows.empty()) return {};
+  return null_space_identifiable(system.matrix().select_rows(rows));
+}
+
+infer::ScenarioSolution dense_solve_scenario(
+    const tomo::PathSystem& system, const infer::Observations& observations,
+    infer::MeasurementModel model, const infer::SolveOptions& options) {
+  if (observations.rows.size() != observations.values.size()) {
+    throw std::invalid_argument(
+        "dense_solve_scenario: rows/values size mismatch");
+  }
+  infer::ScenarioSolution solution;
+  solution.additive.assign(system.link_count(), 0.0);
+  solution.natural.assign(system.link_count(), 0.0);
+  solution.surviving_rows = observations.rows.size();
+  if (observations.rows.empty()) {
+    solution.converged = true;
+    for (std::size_t l = 0; l < system.link_count(); ++l) {
+      solution.natural[l] = infer::to_natural(model, 0.0);
+    }
+    return solution;
+  }
+  const linalg::Matrix restricted =
+      system.matrix().select_rows(observations.rows);
+  solution.rank = linalg::rank(restricted);
+  solution.identifiable = null_space_identifiable(restricted);
+  const linalg::CglsResult cgls = linalg::cgls_solve(
+      linalg::SparseMatrix::from_dense(restricted), observations.values,
+      options.cgls);
+  solution.additive = cgls.x;
+  solution.iterations = cgls.iterations;
+  solution.residual_norm = cgls.residual_norm;
+  solution.converged = cgls.converged;
+  for (std::size_t l = 0; l < system.link_count(); ++l) {
+    solution.natural[l] = infer::to_natural(model, solution.additive[l]);
+  }
+  return solution;
+}
+
+exp::SelectionEvaluation dense_evaluate_selection(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureModel& model, const exp::EvalOptions& options,
+    Rng& rng) {
+  exp::SelectionEvaluation eval;
+  eval.no_failure_rank = dense_rank(system, subset);
+  if (options.identifiability) {
+    eval.no_failure_identifiability =
+        dense_identifiable(system, subset).size();
+  }
+  for (std::size_t s = 0; s < options.scenarios; ++s) {
+    const auto survivors = system.surviving_rows(subset, model.sample(rng));
+    eval.rank.add(static_cast<double>(dense_rank(system, survivors)));
+    if (options.identifiability) {
+      eval.identifiability.add(
+          static_cast<double>(dense_identifiable(system, survivors).size()));
+    }
+  }
+  return eval;
+}
+
+exp::LossEvaluation dense_evaluate_loss(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureModel& model, std::size_t scenarios,
+    bool identifiability, Rng& rng) {
+  exp::LossEvaluation loss;
+  const double base_rank = static_cast<double>(dense_rank(system, subset));
+  const double base_ident =
+      identifiability
+          ? static_cast<double>(dense_identifiable(system, subset).size())
+          : 0.0;
+  for (std::size_t s = 0; s < scenarios; ++s) {
+    const auto survivors = system.surviving_rows(subset, model.sample(rng));
+    loss.rank_loss.add(base_rank -
+                       static_cast<double>(dense_rank(system, survivors)));
+    if (identifiability) {
+      loss.identifiability_loss.add(
+          base_ident -
+          static_cast<double>(dense_identifiable(system, survivors).size()));
+    }
+  }
+  return loss;
+}
+
+infer::InferenceReport dense_run_inference(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureModel& failures, const infer::GroundTruth& truth,
+    const infer::InferenceConfig& config, std::uint64_t seed) {
+  Rng scenario_rng(infer::derive_seed(seed, infer::kScenarioSalt));
+  std::vector<failures::FailureVector> scenarios;
+  for (std::size_t s = 0; s < config.scenarios; ++s) {
+    scenarios.push_back(failures.sample(scenario_rng));
+  }
+  const double fallback = infer::prior_estimate(config.model, config.truth);
+  infer::InferenceReport report;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    Rng noise_rng(infer::derive_seed(seed, infer::kNoiseSalt + s));
+    const infer::Observations obs = infer::synthesize_observations(
+        system, subset, truth, scenarios[s], config.noise_std, noise_rng);
+    report.add(infer::score_scenario(
+        dense_solve_scenario(system, obs, config.model, config.solve), truth,
+        fallback));
+  }
+  return report;
+}
+
+}  // namespace rnt::testkit

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/cgls.h"
 #include "linalg/elimination.h"
 #include "tomo/identifiability.h"
 
@@ -91,13 +90,11 @@ EstimationResult estimate_link_metrics_lsq(const PathSystem& system,
   if (measurements.rows.size() != measurements.values.size()) {
     throw std::invalid_argument("estimate_link_metrics_lsq: size mismatch");
   }
-  result.identifiable = identifiable_links(system, measurements.rows);
-
-  // Sparse operator over the surviving rows; CGLS to the min-norm LS point.
-  const linalg::SparseMatrix a = linalg::SparseMatrix::from_dense(
-      system.matrix().select_rows(measurements.rows));
-  const auto cgls = linalg::cgls_solve(a, measurements.values);
-  result.estimates = cgls.x;
+  // Sparse operator over the surviving rows and the links they cover;
+  // CGLS to the min-norm LS point.
+  const CoveredSystem covered = covered_system(system, measurements.rows);
+  result.identifiable = row_space(covered).identifiable;
+  result.estimates = least_squares(covered, measurements.values).x;
 
   double total = 0.0;
   double worst = 0.0;

@@ -1,36 +1,10 @@
 #include "tomo/identifiability.h"
 
-#include "linalg/elimination.h"
-
 namespace rnt::tomo {
 
 std::vector<std::size_t> identifiable_links(
     const PathSystem& system, const std::vector<std::size_t>& subset) {
-  if (subset.empty()) return {};
-  const linalg::Matrix sub = system.matrix().select_rows(subset);
-  // Restrict to covered columns first: uncovered links are trivially
-  // unidentifiable and shrinking the matrix keeps the null-space small.
-  std::vector<std::size_t> covered;
-  for (std::size_t j = 0; j < sub.cols(); ++j) {
-    for (std::size_t i = 0; i < sub.rows(); ++i) {
-      if (sub(i, j) != 0.0) {
-        covered.push_back(j);
-        break;
-      }
-    }
-  }
-  if (covered.empty()) return {};
-  linalg::Matrix compact(sub.rows(), covered.size());
-  for (std::size_t i = 0; i < sub.rows(); ++i) {
-    for (std::size_t cj = 0; cj < covered.size(); ++cj) {
-      compact(i, cj) = sub(i, covered[cj]);
-    }
-  }
-  std::vector<std::size_t> out;
-  for (std::size_t cj : linalg::identifiable_columns(compact)) {
-    out.push_back(covered[cj]);
-  }
-  return out;
+  return row_space_of(system, subset).identifiable;
 }
 
 std::size_t identifiable_count_under(const PathSystem& system,

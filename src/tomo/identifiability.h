@@ -1,7 +1,8 @@
 // Link identifiability: which link metrics have a unique solution in the
 // linear system of surviving paths (Section VI-A's second robustness
 // metric).  Link j is identifiable iff e_j lies in the row space of the
-// surviving path matrix, i.e. every null-space basis vector is zero at j.
+// surviving path matrix, read off its reduced row-echelon form over the
+// covered links (tomo::row_space_of).
 #pragma once
 
 #include <cstddef>

@@ -66,7 +66,7 @@ std::size_t PathSystem::surviving_rank(const std::vector<std::size_t>& subset,
 
 std::size_t PathSystem::rank_of(const std::vector<std::size_t>& subset) const {
   if (subset.empty()) return 0;
-  return linalg::rank_of_rows(matrix_, subset);
+  return linalg::rank(covered_system(*this, subset).matrix.to_dense());
 }
 
 std::size_t PathSystem::full_rank() const {
@@ -81,6 +81,62 @@ std::size_t PathSystem::full_rank() const {
 double PathSystem::expected_availability(
     std::size_t i, const failures::FailureModel& model) const {
   return model.path_availability(paths_.at(i).links);
+}
+
+CoveredSystem covered_system(const PathSystem& system,
+                             const std::vector<std::size_t>& rows) {
+  constexpr std::size_t kUncovered = static_cast<std::size_t>(-1);
+  CoveredSystem out;
+  out.link_count = system.link_count();
+  std::vector<std::size_t> column_of(system.link_count(), kUncovered);
+  for (const std::size_t r : rows) {
+    for (const graph::EdgeId l : system.path(r).links) column_of[l] = 0;
+  }
+  for (std::size_t l = 0; l < column_of.size(); ++l) {
+    if (column_of[l] == kUncovered) continue;
+    column_of[l] = out.links.size();
+    out.links.push_back(l);
+  }
+  std::vector<std::vector<std::pair<std::size_t, double>>> entries;
+  entries.reserve(rows.size());
+  for (const std::size_t r : rows) {
+    auto& row = entries.emplace_back();
+    for (const graph::EdgeId l : system.path(r).links) {
+      // A link listed twice is one 1 in the path matrix.
+      if (row.empty() || row.back().first != column_of[l]) {
+        row.emplace_back(column_of[l], 1.0);
+      }
+    }
+  }
+  out.matrix = linalg::SparseMatrix::from_rows(out.links.size(), entries);
+  return out;
+}
+
+linalg::RowSpace row_space(const CoveredSystem& covered) {
+  linalg::RowSpace space = linalg::row_space(covered.matrix.to_dense());
+  for (std::size_t& c : space.identifiable) c = covered.links[c];
+  return space;
+}
+
+linalg::RowSpace row_space_of(const PathSystem& system,
+                              const std::vector<std::size_t>& rows) {
+  return row_space(covered_system(system, rows));
+}
+
+linalg::CglsResult least_squares(const CoveredSystem& covered,
+                                 std::span<const double> values,
+                                 linalg::CglsOptions options) {
+  if (options.max_iterations == 0) {
+    options.max_iterations = 2 * covered.link_count;
+  }
+  linalg::CglsResult result =
+      linalg::cgls_solve(covered.matrix, values, options);
+  std::vector<double> x(covered.link_count, 0.0);
+  for (std::size_t c = 0; c < covered.links.size(); ++c) {
+    x[covered.links[c]] = result.x[c];
+  }
+  result.x = std::move(x);
+  return result;
 }
 
 }  // namespace rnt::tomo

@@ -14,7 +14,10 @@
 #include "failures/failure_model.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "linalg/cgls.h"
+#include "linalg/elimination.h"
 #include "linalg/matrix.h"
+#include "linalg/sparse.h"
 
 namespace rnt::tomo {
 
@@ -99,7 +102,8 @@ class PathSystem {
   std::size_t surviving_rank(const std::vector<std::size_t>& subset,
                              const failures::FailureVector& v) const;
 
-  /// Rank of the (non-failed) submatrix given by `subset`.
+  /// Rank of the (non-failed) submatrix given by `subset`, eliminated on
+  /// the links it covers (see covered_system).
   std::size_t rank_of(const std::vector<std::size_t>& subset) const;
 
   /// Rank of the full candidate set.
@@ -118,5 +122,39 @@ class PathSystem {
   /// Worst case two threads both compute and store the same value.
   mutable std::atomic<std::ptrdiff_t> cached_full_rank_{-1};
 };
+
+/// The rows of a path list restricted to the links they cover.  A link no
+/// listed path traverses is an all-zero column of the full matrix: it never
+/// pivots (|0| <= tol) and never enters another column's arithmetic, so
+/// rank, pivots and identifiability here equal the full-width elimination
+/// bit for bit, and a CGLS solve adds exact zeros where the full-width one
+/// carries the uncovered columns.
+struct CoveredSystem {
+  std::size_t link_count = 0;      ///< Width of the full system.
+  std::vector<std::size_t> links;  ///< Covered link ids, ascending.
+  /// rows.size() x links.size() 0/1 matrix; column c is link links[c].
+  linalg::SparseMatrix matrix;
+};
+
+/// Builds the covered system of `rows` (in that order) straight from each
+/// path's link list.
+CoveredSystem covered_system(const PathSystem& system,
+                             const std::vector<std::size_t>& rows);
+
+/// Rank and identifiable links (link ids, ascending) of a covered system,
+/// from one reduced row-echelon pass.
+linalg::RowSpace row_space(const CoveredSystem& covered);
+
+/// row_space(covered_system(system, rows)).
+linalg::RowSpace row_space_of(const PathSystem& system,
+                              const std::vector<std::size_t>& rows);
+
+/// Min-norm least-squares solve of the covered system from x0 = 0, with x
+/// scattered back to one entry per link (uncovered links stay exactly 0).
+/// An iteration cap of 0 means 2 * link_count, the full-width default, so
+/// the result is bitwise the full-width CGLS solve.
+linalg::CglsResult least_squares(const CoveredSystem& covered,
+                                 std::span<const double> values,
+                                 linalg::CglsOptions options = {});
 
 }  // namespace rnt::tomo

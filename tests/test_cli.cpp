@@ -234,5 +234,45 @@ TEST(CliDispatch, NegativeCountsAreRejectedNotWrapped) {
   }
 }
 
+TEST(CliDispatch, ZeroScenariosAreRejected) {
+  // --scenarios 0 used to leak "EmpiricalDistribution::quantile: no
+  // samples" from evaluate and print all-zero means from the others.
+  for (const char* command :
+       {"evaluate", "infer", "localize", "localize-node"}) {
+    const std::vector<const char*> argv = {
+        "rnt_cli", command,   "--nodes", "20", "--links", "30",
+        "--paths", "30",      "--scenarios", "0"};
+    std::ostringstream out;
+    try {
+      dispatch(static_cast<int>(argv.size()),
+               const_cast<char**>(argv.data()), out);
+      ADD_FAILURE() << command << " accepted --scenarios 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--scenarios must be positive"),
+                std::string::npos)
+          << command << ": " << e.what();
+    }
+  }
+}
+
+TEST(CliInfer, RejectsNonFiniteNoise) {
+  // --noise inf printed "residual norm (mean) -nan"; nan ran noise-free.
+  for (const char* noise : {"inf", "nan", "-1"}) {
+    auto flags = make_flags({"--nodes", "20", "--links", "30", "--paths",
+                             "30", "--scenarios", "5", "--noise", noise});
+    std::ostringstream out;
+    try {
+      cmd_infer(flags, out);
+      ADD_FAILURE() << "infer accepted --noise " << noise;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "--noise must be finite and non-negative"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(out.str().find("nan"), std::string::npos) << out.str();
+  }
+}
+
 }  // namespace
 }  // namespace rnt::cli

@@ -144,28 +144,6 @@ TEST(Elimination, RankOfRowsSubset) {
   EXPECT_EQ(rank_of_rows(m, {}), 0u);
 }
 
-TEST(Elimination, NullSpaceDimension) {
-  Rng rng(7);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t rows = 2 + rng.index(8);
-    const std::size_t cols = 2 + rng.index(8);
-    Matrix m = random_binary_matrix(rows, cols, 0.4, rng);
-    const auto ns = null_space(m);
-    EXPECT_EQ(ns.size(), cols - rank(m));
-    // Every basis vector must actually be annihilated by m.
-    for (const auto& v : ns) {
-      const auto mv = m.multiply(std::span<const double>(v));
-      for (double y : mv) EXPECT_NEAR(y, 0.0, 1e-8);
-    }
-  }
-}
-
-TEST(Elimination, NullSpaceOfEmptyRowSet) {
-  Matrix m(0, 3);
-  // With no constraints the entire R^3 is the null space.
-  EXPECT_EQ(null_space(m).size(), 3u);
-}
-
 TEST(Elimination, SolveConsistentSystem) {
   Matrix a{{1, 1, 0}, {0, 1, 1}};
   // x = (1, 2, 3): y = (3, 5).
@@ -187,6 +165,25 @@ TEST(Elimination, SolveRejectsBadRhs) {
   Matrix a{{1, 0}};
   const std::vector<double> y = {1, 2};
   EXPECT_THROW(solve(a, y), std::invalid_argument);
+}
+
+TEST(Elimination, RowSpaceReadsRankAndIdentifiableColumnsOffTheRref) {
+  // x0 + x1 inseparable, x2 pinned, x3 uncovered.
+  Matrix m{{1, 1, 0, 0}, {0, 0, 1, 0}, {1, 1, 1, 0}};
+  const RowSpace space = row_space(m);
+  EXPECT_EQ(space.rank, 2u);
+  EXPECT_EQ(space.identifiable, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(row_space(Matrix(0, 3)).rank, 0u);
+  EXPECT_TRUE(row_space(Matrix(0, 3)).identifiable.empty());
+}
+
+TEST(Elimination, RowSpaceRankMatchesRank) {
+  Rng rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Matrix m =
+        random_binary_matrix(2 + rng.index(9), 2 + rng.index(9), 0.35, rng);
+    EXPECT_EQ(row_space(m).rank, rank(m)) << "trial " << trial;
+  }
 }
 
 TEST(Elimination, IdentifiableColumnsFullRankSquare) {

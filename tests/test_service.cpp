@@ -542,6 +542,41 @@ TEST(Service, NegativeCountsAreRejectedNotWrapped) {
   EXPECT_EQ(pong.at("pong"), "1");
 }
 
+TEST(Service, ZeroScenariosAreRejectedByEveryScenarioVerb) {
+  // scenarios=0 used to leak "EmpiricalDistribution::quantile: no samples"
+  // from er-eval and answer ok with all-zero means from the other four.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string params =
+      "nodes=30 links=60 seed=3 intensity=5 paths=30 subset=0,1,2 "
+      "scenarios=0";
+  for (const std::string verb : {"er-eval", "identifiability", "infer",
+                                 "localize", "localize-node"}) {
+    const Response r = svc.handle_line(verb + " " + params);
+    ASSERT_FALSE(r.ok) << verb;
+    EXPECT_NE(r.error.find(verb + ": scenarios must be positive"),
+              std::string::npos)
+        << r.error;
+  }
+}
+
+TEST(Service, InferRejectsNonFiniteNoise) {
+  // noise=inf answered converged=0 residual-mean=-nan; noise=nan silently
+  // ran noise-free.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string params =
+      "nodes=30 links=60 seed=3 intensity=5 paths=30 subset=0,1,2 "
+      "scenarios=5";
+  for (const char* noise : {"inf", "-inf", "nan", "-0.5"}) {
+    const Response r =
+        svc.handle_line("infer " + params + " noise=" + noise);
+    ASSERT_FALSE(r.ok) << noise;
+    EXPECT_NE(r.error.find("infer: noise must be finite and non-negative"),
+              std::string::npos)
+        << r.error;
+  }
+  EXPECT_TRUE(svc.handle_line("infer " + params + " noise=0").ok);
+}
+
 // --------------------------------------------------------------------------
 // TCP front end
 // --------------------------------------------------------------------------

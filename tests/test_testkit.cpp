@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -15,10 +16,12 @@
 #include "exp/workload.h"
 #include "linalg/elimination.h"
 #include "testkit/checks.h"
+#include "testkit/dense_reference.h"
 #include "testkit/fuzzer.h"
 #include "testkit/instance.h"
 #include "testkit/oracles.h"
 #include "testkit/shrink.h"
+#include "util/rng.h"
 
 namespace rnt::testkit {
 namespace {
@@ -217,6 +220,53 @@ TEST(Repro, ReadRejectsMalformedInput) {
   EXPECT_THROW(read("check c\nseed 1\nlinks 1\nprobs 0.1\npath 1\n"),
                std::runtime_error);  // path with no links
   EXPECT_THROW(load_repro("/nonexistent/repro.txt"), std::runtime_error);
+}
+
+// --------------------------------------------------------------------------
+// Dense references
+// --------------------------------------------------------------------------
+
+linalg::Matrix random_binary_matrix(std::size_t rows, std::size_t cols,
+                                    double density, Rng& rng) {
+  linalg::Matrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (rng.bernoulli(density)) m(r, c) = 1.0;
+    }
+  }
+  return m;
+}
+
+TEST(DenseReference, NullSpaceDimension) {
+  Rng rng(7);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t rows = 2 + rng.index(8);
+    const std::size_t cols = 2 + rng.index(8);
+    const linalg::Matrix m = random_binary_matrix(rows, cols, 0.4, rng);
+    const auto ns = null_space(m);
+    EXPECT_EQ(ns.size(), cols - linalg::rank(m));
+    // Every basis vector must actually be annihilated by m.
+    for (const auto& v : ns) {
+      const auto mv = m.multiply(std::span<const double>(v));
+      for (double y : mv) EXPECT_NEAR(y, 0.0, 1e-8);
+    }
+  }
+}
+
+TEST(DenseReference, NullSpaceOfEmptyRowSet) {
+  const linalg::Matrix m(0, 3);
+  // With no constraints the entire R^3 is the null space.
+  EXPECT_EQ(null_space(m).size(), 3u);
+}
+
+TEST(DenseReference, RowSpaceIdentifiabilityMatchesNullSpace) {
+  Rng rng(19);
+  for (int trial = 0; trial < 60; ++trial) {
+    const linalg::Matrix m = random_binary_matrix(
+        1 + rng.index(10), 1 + rng.index(12), 0.3, rng);
+    EXPECT_EQ(linalg::row_space(m).identifiable, null_space_identifiable(m))
+        << "trial " << trial;
+  }
 }
 
 // --------------------------------------------------------------------------

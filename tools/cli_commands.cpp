@@ -1,6 +1,7 @@
 #include "cli_commands.h"
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <iostream>
 #include <numeric>
@@ -41,6 +42,14 @@ namespace rnt::cli {
 namespace {
 
 /// Builds the workload shared by select / evaluate / learn / localize.
+/// A count flag that must be positive ("--<name> must be positive").
+std::size_t positive_count(Flags& flags, const std::string& name,
+                           std::size_t def) {
+  const std::size_t n = flags.get_count(name, def);
+  if (n == 0) throw std::invalid_argument("--" + name + " must be positive");
+  return n;
+}
+
 exp::Workload build_workload(Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto paths = flags.get_count("paths", 400);
@@ -389,7 +398,7 @@ int cmd_evaluate(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto scenarios = flags.get_count("scenarios", 200);
+  const auto scenarios = positive_count(flags, "scenarios", 200);
   const bool identifiability = flags.get_bool("identifiability", false);
 
   const core::Selection sel =
@@ -477,7 +486,7 @@ int cmd_localize(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto trials = flags.get_count("scenarios", 300);
+  const auto trials = positive_count(flags, "scenarios", 300);
   const core::Selection sel =
       run_algorithm(w, algorithm, budget, w.seed,
                     flags.get_string("optimizer", "rome"),
@@ -505,9 +514,8 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
   if (family != "node" && family != "link") {
     throw std::invalid_argument("--family must be node or link");
   }
-  const auto k = flags.get_count("k", 2);
-  if (k == 0) throw std::invalid_argument("--k must be positive");
-  const auto trials = flags.get_count("scenarios", 300);
+  const auto k = positive_count(flags, "k", 2);
+  const auto trials = positive_count(flags, "scenarios", 300);
   const auto ident_cap = flags.get_count("ident-cap", 0);
   const boolnt::HypothesisSpace space =
       family == "link"
@@ -560,10 +568,10 @@ int cmd_infer(Flags& flags, std::ostream& out) {
   config.model =
       infer::parse_measurement_model(flags.get_string("model", "delay"));
   config.noise_std = flags.get_double("noise", 0.05);
-  if (config.noise_std < 0.0) {
-    throw std::invalid_argument("--noise must be non-negative");
+  if (!std::isfinite(config.noise_std) || config.noise_std < 0.0) {
+    throw std::invalid_argument("--noise must be finite and non-negative");
   }
-  config.scenarios = flags.get_count("scenarios", 200);
+  config.scenarios = positive_count(flags, "scenarios", 200);
   config.threads = flags.get_count("threads", 1);
 
   const core::Selection sel =
