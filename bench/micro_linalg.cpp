@@ -1,7 +1,9 @@
 // Micro-benchmarks for the linear algebra substrate: batch vs. incremental
-// rank, the Cholesky independence test, identifiable columns from one RREF
-// pass against the testkit's null-space reference — the primitives whose
-// costs dominate the figure experiments.
+// rank, the sparse incremental basis against the testkit's dense reference
+// basis, the Cholesky independence test, identifiable columns from one
+// RREF pass against the testkit's null-space reference — the primitives
+// whose costs dominate the figure experiments.  Informational only; no
+// gate reads these numbers.
 #include <benchmark/benchmark.h>
 
 #include "linalg/cholesky.h"
@@ -56,6 +58,69 @@ void BM_IndependenceQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndependenceQuery)->Arg(100)->Arg(200);
+
+/// 400 candidate paths on the large calibrated topology (AS1239).
+const tomo::PathSystem& as1239_system() {
+  static const tomo::PathSystem system = [] {
+    Rng rng(7);
+    const graph::Graph g =
+        graph::build_isp_topology(graph::IspTopology::kAS1239, rng);
+    return tomo::build_path_system(g, 400, rng);
+  }();
+  return system;
+}
+
+/// Path row r in the form each basis's callers pass it: by link id to the
+/// production basis (as ProbBound and the kernel do), densely to the
+/// reference.
+linalg::UnitRow path_row(const linalg::IncrementalBasis&,
+                         const tomo::PathSystem& sys, std::size_t r) {
+  return sys.unit_row(r);
+}
+std::span<const double> path_row(const testkit::DenseIncrementalBasis&,
+                                 const tomo::PathSystem& sys, std::size_t r) {
+  return sys.row(r);
+}
+
+/// Building a tracked basis from every AS1239 path row, ProbBound's
+/// add_with_reduction path.  Paired over the production sparse basis and
+/// the testkit's dense reference.
+template <class Basis>
+void BM_BasisBuildAS1239(benchmark::State& state) {
+  const tomo::PathSystem& sys = as1239_system();
+  for (auto _ : state) {
+    Basis basis(sys.link_count());
+    for (std::size_t r = 0; r < sys.path_count(); ++r) {
+      basis.try_add(path_row(basis, sys, r));
+    }
+    benchmark::DoNotOptimize(basis.rank());
+  }
+}
+BENCHMARK_TEMPLATE(BM_BasisBuildAS1239, linalg::IncrementalBasis);
+BENCHMARK_TEMPLATE(BM_BasisBuildAS1239, testkit::DenseIncrementalBasis);
+
+/// One is_independent() query per AS1239 path row against the rank-only
+/// basis of all of them (the system's natural rank): the kernel float
+/// tier's query.  Items are queries.
+template <class Basis>
+void BM_BasisQueryAS1239(benchmark::State& state) {
+  const tomo::PathSystem& sys = as1239_system();
+  Basis basis(sys.link_count(), linalg::kDefaultTolerance,
+              /*track_combinations=*/false);
+  for (std::size_t r = 0; r < sys.path_count(); ++r) {
+    basis.try_add(path_row(basis, sys, r));
+  }
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < sys.path_count(); ++r) {
+      benchmark::DoNotOptimize(basis.is_independent(path_row(basis, sys, r)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sys.path_count()));
+  state.counters["rank"] = static_cast<double>(basis.rank());
+}
+BENCHMARK_TEMPLATE(BM_BasisQueryAS1239, linalg::IncrementalBasis);
+BENCHMARK_TEMPLATE(BM_BasisQueryAS1239, testkit::DenseIncrementalBasis);
 
 void BM_CholeskyBasis(benchmark::State& state) {
   const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));

@@ -196,14 +196,14 @@ class ProbBoundState {
 
   /// Marginal contribution of `path` to the bound, without committing.
   double contribution(std::size_t path) const {
-    const auto reduction = basis_.reduce(system_.row(path));
+    const auto reduction = basis_.reduce(system_.unit_row(path));
     if (reduction.independent) return ea_[path];
     return dependent_contribution(path, reduction.support);
   }
 
   /// Commits `path`; returns its contribution.
   double add(std::size_t path) {
-    const auto reduction = basis_.add_with_reduction(system_.row(path));
+    const auto reduction = basis_.add_with_reduction(system_.unit_row(path));
     if (reduction.independent) {
       basis_paths_.push_back(path);
       return ea_[path];
@@ -301,13 +301,13 @@ class IndependentPathState {
       : system_(system), theta_(theta), basis_(system.link_count()) {}
 
   double contribution(std::size_t path) const {
-    const auto reduction = basis_.reduce(system_.row(path));
+    const auto reduction = basis_.reduce(system_.unit_row(path));
     if (reduction.independent) return clamp01(theta_[path]);
     return dependent_contribution(path, reduction.support);
   }
 
   double add(std::size_t path) {
-    const auto reduction = basis_.add_with_reduction(system_.row(path));
+    const auto reduction = basis_.add_with_reduction(system_.unit_row(path));
     if (reduction.independent) {
       basis_paths_.push_back(path);
       return clamp01(theta_[path]);

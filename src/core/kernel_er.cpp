@@ -58,7 +58,7 @@ std::size_t hybrid_rank(const tomo::PathSystem& system,
       exact = std::make_unique<linalg::IncrementalBasis>(
           system.link_count(), linalg::kDefaultTolerance,
           /*track_combinations=*/false);
-      for (std::size_t k : kept) exact->try_add(system.row(subset[k]));
+      for (std::size_t k : kept) exact->try_add(system.unit_row(subset[k]));
     }
   };
   for (std::size_t i = 0; i < subset.size(); ++i) {
@@ -66,11 +66,11 @@ std::size_t hybrid_rank(const tomo::PathSystem& system,
     if (synced && gf2.try_add(sub.row(i))) {
       ++rank;
       kept.push_back(i);
-      if (exact) exact->try_add(system.row(subset[i]));
+      if (exact) exact->try_add(system.unit_row(subset[i]));
       continue;
     }
     materialize();
-    if (exact->try_add(system.row(subset[i]))) {
+    if (exact->try_add(system.unit_row(subset[i]))) {
       ++rank;
       kept.push_back(i);
       synced = false;  // The GF(2) basis lost a dimension.
@@ -108,7 +108,7 @@ linalg::IncrementalBasis& ensure_exact(const tomo::PathSystem& system,
     c.exact = std::make_unique<linalg::IncrementalBasis>(
         system.link_count(), linalg::kDefaultTolerance,
         /*track_combinations=*/false);
-    for (std::size_t p : c.added) c.exact->try_add(system.row(p));
+    for (std::size_t p : c.added) c.exact->try_add(system.unit_row(p));
   }
   return *c.exact;
 }
@@ -119,7 +119,7 @@ linalg::IncrementalBasis& ensure_exact(const tomo::PathSystem& system,
 /// query after a desync — defers to the exact basis.
 bool query_independent(const tomo::PathSystem& system, ClassBasis& c,
                        std::span<const std::uint64_t> bits,
-                       std::span<const double> row) {
+                       linalg::UnitRow row) {
   if (c.synced && c.gf2.is_independent(bits)) return true;
   return ensure_exact(system, c).is_independent(row);
 }
@@ -128,7 +128,7 @@ bool query_independent(const tomo::PathSystem& system, ClassBasis& c,
 /// new independent row.  Must be called with c.survives(path) true.
 bool commit_path(const tomo::PathSystem& system, ClassBasis& c,
                  std::size_t path, std::span<const std::uint64_t> bits,
-                 std::span<const double> row) {
+                 linalg::UnitRow row) {
   bool independent = false;
   if (c.synced) {
     if (c.gf2.try_add(bits)) {
@@ -516,7 +516,7 @@ class KernelAccumulator : public ErAccumulator {
   double gain(std::size_t path) const override {
     return memo_.get(path, [&] {
       const auto bits = engine_.path_bits_.row(path);
-      const auto row = system_.row(path);
+      const auto row = system_.unit_row(path);
       double g = 0.0;
       for (std::size_t c = 0; c < classes_.size(); ++c) {
         if (!classes_[c].survives(path)) continue;
@@ -530,7 +530,7 @@ class KernelAccumulator : public ErAccumulator {
 
   void add(std::size_t path) override {
     const auto bits = engine_.path_bits_.row(path);
-    const auto row = system_.row(path);
+    const auto row = system_.unit_row(path);
     for (std::size_t c = 0; c < classes_.size(); ++c) {
       if (!classes_[c].survives(path)) continue;
       if (commit_path(system_, classes_[c], path, bits, row)) {
@@ -653,7 +653,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
   double gain(std::size_t path) const override {
     return memo_.get(path, [&] {
       const auto bits = engine_.path_bits_.row(path);
-      const auto row = system_.row(path);
+      const auto row = system_.unit_row(path);
       const std::size_t n = classes_info_.count();
       double g = 0.0;
       for (std::size_t k = 0; k * 64 < n; ++k) {
@@ -694,7 +694,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
 
   void add(std::size_t path) override {
     const auto bits = engine_.path_bits_.row(path);
-    const auto row = system_.row(path);
+    const auto row = system_.unit_row(path);
     const std::size_t n = classes_info_.count();
     for (std::size_t k = 0; k * 64 < n; ++k) {
       const std::size_t base = k * 64;
@@ -813,7 +813,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
         }
         grp.trunk = std::make_shared<FloatTrunk>(*grp.trunk, grp.brank);
       }
-      if (grp.trunk->basis.try_add(system_.row(p))) {
+      if (grp.trunk->basis.try_add(system_.unit_row(p))) {
         grp.trunk->rows.push_back(p);
         ++grp.brank;
       }
@@ -830,7 +830,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
   /// tier.  Misses resolve through the group's prefix basis — the
   /// scalar accumulator's arithmetic — and feed the memo.
   bool memo_verdict(LaneGroup& grp, std::size_t path,
-                    std::span<const double> row) const {
+                    linalg::UnitRow row) const {
     std::fill(key_scratch_.begin(), key_scratch_.end(), 0);
     for (const std::size_t p : grp.added) {
       key_scratch_[p / 64] |= std::uint64_t{1} << (p % 64);
@@ -941,7 +941,7 @@ std::vector<std::uint64_t> KernelShardAccumulator::probe(
     throw std::invalid_argument("KernelShardAccumulator: path out of range");
   }
   const auto bits = im.engine.path_bits_.row(path);
-  const auto row = im.engine.system_.row(path);
+  const auto row = im.engine.system_.unit_row(path);
   std::vector<std::uint8_t> class_bit(im.classes.size(), 0);
   for (std::size_t c = 0; c < im.classes.size(); ++c) {
     if (!im.classes[c].survives(path)) continue;
@@ -958,7 +958,7 @@ std::vector<std::uint64_t> KernelShardAccumulator::add(std::size_t path) {
     throw std::invalid_argument("KernelShardAccumulator: path out of range");
   }
   const auto bits = im.engine.path_bits_.row(path);
-  const auto row = im.engine.system_.row(path);
+  const auto row = im.engine.system_.unit_row(path);
   std::vector<std::uint8_t> class_bit(im.classes.size(), 0);
   for (std::size_t c = 0; c < im.classes.size(); ++c) {
     if (!im.classes[c].survives(path)) continue;

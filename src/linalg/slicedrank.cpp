@@ -293,6 +293,20 @@ struct FloatTrunk {
         rows(other.rows.begin(), other.rows.begin() + prefix) {}
 };
 
+/// The columns of packed 0/1 row `bits` below `cols` that hold a one,
+/// ascending: the row's float-tier form.
+void ones_of(std::span<const std::uint64_t> bits, std::size_t cols,
+             std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+      const std::size_t col = w * 64 + std::countr_zero(m);
+      if (col >= cols) return;
+      out.push_back(static_cast<std::uint32_t>(col));
+    }
+  }
+}
+
 /// Lanes whose accepted-row histories coincide so far.  Their bases —
 /// sliced GF planes and the fallback tier's state alike — are identical,
 /// so one ambiguous-row resolution answers every lane in the group.
@@ -321,7 +335,7 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
         "sliced_ranks: need ceil(instances/64) alive words per row");
   }
   const std::size_t cols = rows.cols();
-  std::vector<double> row_d;  // Float-tier view of the current 0/1 row.
+  std::vector<std::uint32_t> row_ones;  // Float-tier form of the row.
   for (std::size_t g = 0; g < stride; ++g) {
     const std::size_t lanes = std::min<std::size_t>(64, instances - g * 64);
     const std::uint64_t full =
@@ -336,7 +350,7 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
     // materializations adopt the prefix siblings already reduced.
     groups[0].trunk = std::make_shared<FloatTrunk>(cols);
     auto catch_up = [&](LaneGroup& grp) {
-      std::vector<double> d;
+      std::vector<std::uint32_t> ones;
       while (grp.fvalid < grp.kept.size()) {
         const std::uint32_t r = grp.kept[grp.fvalid];
         if (grp.brank < grp.trunk->rows.size()) {
@@ -347,12 +361,8 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
           }
           grp.trunk = std::make_shared<FloatTrunk>(*grp.trunk, grp.brank);
         }
-        d.assign(cols, 0.0);
-        const auto bits = rows.row(r);
-        for (std::size_t l = 0; l < cols; ++l) {
-          d[l] = static_cast<double>((bits[l / 64] >> (l % 64)) & 1u);
-        }
-        if (grp.trunk->basis.try_add(d)) {
+        ones_of(rows.row(r), cols, ones);
+        if (grp.trunk->basis.try_add(UnitRow{ones})) {
           grp.trunk->rows.push_back(r);
           ++grp.brank;
         }
@@ -377,35 +387,30 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
         // Both synced fields reduced the row to zero (or both are down):
         // resolve once per history-group — every member lane holds the
         // identical committed set, so the verdict is shared.
-        bool row_d_ready = false;
+        bool row_ones_ready = false;
         for (std::size_t gi = 0; gi < groups.size(); ++gi) {
           LaneGroup& grp = groups[gi];
           const std::uint64_t sub = grp.mask & ambiguous;
           if (sub == 0) continue;
           bool indep = false;
-          if (!row_d_ready) {
-            row_d.assign(cols, 0.0);
-            const auto bits = rows.row(i);
-            for (std::size_t l = 0; l < cols; ++l) {
-              row_d[l] =
-                  static_cast<double>((bits[l / 64] >> (l % 64)) & 1u);
-            }
-            row_d_ready = true;
+          if (!row_ones_ready) {
+            ones_of(rows.row(i), cols, row_ones);
+            row_ones_ready = true;
           }
+          const UnitRow row{row_ones};
           catch_up(grp);
           const std::shared_ptr<FloatTrunk> pre_trunk = grp.trunk;
           const std::size_t pre_brank = grp.brank;
           if (grp.brank == grp.trunk->rows.size()) {
             // At the trunk tip: append in place.  Appends never
             // disturb the shorter prefixes other groups hold.
-            indep = grp.trunk->basis.try_add(row_d);
+            indep = grp.trunk->basis.try_add(row);
             if (indep) {
               grp.trunk->rows.push_back(static_cast<std::uint32_t>(i));
               ++grp.brank;
             }
           } else {
-            indep =
-                grp.trunk->basis.is_independent_prefix(row_d, grp.brank);
+            indep = grp.trunk->basis.is_independent_prefix(row, grp.brank);
             if (indep) {
               if (grp.trunk->rows[grp.brank] ==
                   static_cast<std::uint32_t>(i)) {
@@ -413,7 +418,7 @@ std::vector<std::size_t> sliced_ranks(const BitRows& rows,
               } else {
                 grp.trunk =
                     std::make_shared<FloatTrunk>(*grp.trunk, grp.brank);
-                grp.trunk->basis.try_add(row_d);
+                grp.trunk->basis.try_add(row);
                 grp.trunk->rows.push_back(static_cast<std::uint32_t>(i));
                 ++grp.brank;
               }

@@ -66,6 +66,18 @@ std::string fmt(double x) {
   return out.str();
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
 /// Non-empty random subset of [0, n), ascending.
 std::vector<std::size_t> random_subset(Rng& rng, std::size_t n) {
   std::vector<std::size_t> out;
@@ -362,8 +374,145 @@ CheckResult check_rank_oracles_agree(const TestInstance& inst,
 }
 
 // --------------------------------------------------------------------------
-// 8. IncrementalBasis dependency tracking reconstructs dependent rows.
+// 8. IncrementalBasis dependency tracking reconstructs dependent rows, and
+//    the sparse basis answers bit for bit like the dense reference.
 // --------------------------------------------------------------------------
+
+namespace {
+
+/// Empty when production and reference agree on the verdict and support
+/// and every coefficient is bitwise equal.
+std::string reduction_diff(const linalg::Reduction& got,
+                           const linalg::Reduction& want) {
+  if (got.independent != want.independent) {
+    return "verdict " + std::to_string(got.independent) + " vs " +
+           std::to_string(want.independent);
+  }
+  if (got.support != want.support) return "support differs";
+  if (!same_bits(got.coefficients, want.coefficients)) {
+    return "coefficients differ bitwise";
+  }
+  return {};
+}
+
+/// One row of the differential: dense entries, plus the link ids when it
+/// is a path row (so it can also enter as a linalg::UnitRow).
+struct BasisRow {
+  std::vector<double> dense;
+  std::vector<std::uint32_t> ones;
+};
+
+/// The differential's row stream: the instance's path rows in a shuffled
+/// order, interleaved with random real rows (entries at ±0, ±tol, ±1 or
+/// uniform in (-2, 2)) and with real combinations of earlier rows, which
+/// are dependent up to round-off.
+std::vector<BasisRow> basis_rows(const TestInstance& inst, Rng& rng) {
+  const std::size_t links = inst.link_count();
+  constexpr double tol = linalg::kDefaultTolerance;
+  std::vector<std::size_t> order = all_paths(inst);
+  rng.shuffle(order);
+  std::vector<BasisRow> rows;
+  for (const std::size_t i : order) {
+    const auto path = inst.system.row(i);
+    rows.push_back({{path.begin(), path.end()}, inst.path_links[i]});
+    if (rng.bernoulli(0.3)) {
+      std::vector<double> real(links, 0.0);
+      for (double& v : real) {
+        const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+        switch (rng.index(8)) {
+          case 0: v = -0.0; break;
+          case 1: v = sign * tol; break;
+          case 2: v = sign; break;
+          case 3: v = rng.uniform(-2.0, 2.0); break;
+          default: break;
+        }
+      }
+      rows.push_back({std::move(real), {}});
+    }
+    if (rows.size() >= 2 && rng.bernoulli(0.3)) {
+      const auto& a = rows[rng.index(rows.size())].dense;
+      const auto& b = rows[rng.index(rows.size())].dense;
+      const double x = rng.uniform(-2.0, 2.0);
+      const double y = rng.uniform(-2.0, 2.0);
+      std::vector<double> mix(links);
+      for (std::size_t c = 0; c < links; ++c) mix[c] = x * a[c] + y * b[c];
+      rows.push_back({std::move(mix), {}});
+    }
+  }
+  return rows;
+}
+
+/// Feeds `rows` to the sparse basis (a path row as its UnitRow half the
+/// time) and to the dense reference.  Before each insert it compares
+/// reduce(), is_independent() and is_independent_prefix() at a random
+/// prefix (also against a prefix copy of that length), and now and then
+/// forks prefix copies of both and drives them through the next rows.
+/// Ranks and pivot columns must stay equal throughout.
+CheckResult basis_matches_reference(const std::vector<BasisRow>& rows,
+                                    std::size_t links, bool track,
+                                    Rng& rng) {
+  const std::string mode = track ? "tracked" : "rank-only";
+  linalg::IncrementalBasis prod(links, linalg::kDefaultTolerance, track);
+  DenseIncrementalBasis ref(links, linalg::kDefaultTolerance, track);
+  auto same_state = [](const linalg::IncrementalBasis& p,
+                       const DenseIncrementalBasis& r) {
+    return p.rank() == r.rank() && p.pivot_columns() == r.pivot_columns();
+  };
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    const std::vector<double>& dense = rows[t].dense;
+    const bool unit = !rows[t].ones.empty() && rng.bernoulli(0.5);
+    const std::string where = " (" + mode + (unit ? ", unit" : "") +
+                              " row " + std::to_string(t) + ")";
+    // The production side of every comparison below, in the chosen form.
+    auto run = [&](auto row) -> CheckResult {
+      std::string diff = reduction_diff(prod.reduce(row), ref.reduce(dense));
+      if (!diff.empty()) return CheckResult::fail("reduce: " + diff + where);
+      if (prod.is_independent(row) != ref.is_independent(dense)) {
+        return CheckResult::fail("is_independent differs" + where);
+      }
+      const std::size_t prefix = rng.index(prod.rank() + 1);
+      const bool want = ref.is_independent_prefix(dense, prefix);
+      const linalg::IncrementalBasis copy(prod, prefix);
+      if (prod.is_independent_prefix(row, prefix) != want ||
+          copy.is_independent(row) != want) {
+        return CheckResult::fail("is_independent_prefix(" +
+                                 std::to_string(prefix) + ") differs" +
+                                 where);
+      }
+      if (rng.bernoulli(0.2)) {
+        linalg::IncrementalBasis prod_fork(prod, prefix);
+        DenseIncrementalBasis ref_fork(ref, prefix);
+        diff = reduction_diff(prod_fork.add_with_reduction(row),
+                              ref_fork.add_with_reduction(dense));
+        for (std::size_t u = t + 1;
+             diff.empty() && u < std::min(rows.size(), t + 4); ++u) {
+          diff = reduction_diff(prod_fork.add_with_reduction(rows[u].dense),
+                                ref_fork.add_with_reduction(rows[u].dense));
+        }
+        if (!diff.empty() || !same_state(prod_fork, ref_fork)) {
+          return CheckResult::fail(
+              "prefix copy at " + std::to_string(prefix) + " diverges: " +
+              (diff.empty() ? "rank or pivots differ" : diff) + where);
+        }
+      }
+      diff = reduction_diff(prod.add_with_reduction(row),
+                            ref.add_with_reduction(dense));
+      if (!diff.empty()) {
+        return CheckResult::fail("add_with_reduction: " + diff + where);
+      }
+      if (!same_state(prod, ref)) {
+        return CheckResult::fail("rank or pivot columns differ" + where);
+      }
+      return CheckResult::ok();
+    };
+    const CheckResult step = unit ? run(linalg::UnitRow{rows[t].ones})
+                                  : run(std::span<const double>(dense));
+    if (!step.passed) return step;
+  }
+  return CheckResult::ok();
+}
+
+}  // namespace
 
 CheckResult check_incremental_basis_reduction(const TestInstance& inst,
                                               const FaultPlan&) {
@@ -414,6 +563,13 @@ CheckResult check_incremental_basis_reduction(const TestInstance& inst,
     return CheckResult::fail("IncrementalBasis final rank " +
                              std::to_string(basis.rank()) + " vs exact " +
                              std::to_string(expected));
+  }
+
+  const std::vector<BasisRow> rows = basis_rows(inst, rng);
+  for (const bool track : {true, false}) {
+    CheckResult diff =
+        basis_matches_reference(rows, inst.link_count(), track, rng);
+    if (!diff.passed) return diff;
   }
   return CheckResult::ok();
 }
@@ -1318,17 +1474,6 @@ CheckResult check_family_engines_agree(const TestInstance& inst,
 
 namespace {
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_bits(a[i], b[i])) return false;
-  }
-  return true;
-}
 
 bool same_stats(const RunningStats& a, const RunningStats& b) {
   return a.count() == b.count() && same_bits(a.mean(), b.mean()) &&
@@ -1518,8 +1663,9 @@ const std::vector<Check>& all_checks() {
        "elimination, sparse and incremental ranks equal the exact referee",
        1, true, check_rank_oracles_agree},
       {"incremental-basis-reduction",
-       "dependency tracking reconstructs dependent rows exactly", 1, true,
-       check_incremental_basis_reduction},
+       "dependency tracking reconstructs dependent rows exactly; the "
+       "sparse basis matches the dense reference bit for bit",
+       1, true, check_incremental_basis_reduction},
       {"warm-equals-cold-replan",
        "cold replan == core::rome; warm replan loses nothing when the "
        "distribution is unchanged",

@@ -1,5 +1,6 @@
 #include "testkit/dense_reference.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,125 @@
 #include "linalg/sparse.h"
 
 namespace rnt::testkit {
+
+DenseIncrementalBasis::DenseIncrementalBasis(std::size_t dimension,
+                                             double tol,
+                                             bool track_combinations)
+    : dimension_(dimension),
+      tol_(tol),
+      track_combinations_(track_combinations) {}
+
+DenseIncrementalBasis::DenseIncrementalBasis(
+    const DenseIncrementalBasis& other, std::size_t prefix)
+    : dimension_(other.dimension_),
+      tol_(other.tol_),
+      track_combinations_(other.track_combinations_) {
+  prefix = std::min(prefix, other.eliminated_.size());
+  eliminated_.assign(other.eliminated_.begin(),
+                     other.eliminated_.begin() + prefix);
+  pivot_cols_.assign(other.pivot_cols_.begin(),
+                     other.pivot_cols_.begin() + prefix);
+  if (track_combinations_) {
+    combos_.assign(other.combos_.begin(), other.combos_.begin() + prefix);
+  }
+}
+
+linalg::Reduction DenseIncrementalBasis::reduce_impl(
+    std::span<const double> row, std::vector<double>* out_reduced,
+    std::size_t limit) const {
+  if (row.size() != dimension_) {
+    throw std::invalid_argument(
+        "DenseIncrementalBasis: row dimension mismatch");
+  }
+  limit = std::min(limit, eliminated_.size());
+  std::vector<double> r(row.begin(), row.end());
+  std::vector<double> combo(track_combinations_ ? limit : 0, 0.0);
+  for (std::size_t i = 0; i < limit; ++i) {
+    const std::size_t p = pivot_cols_[i];
+    const double factor = r[p] / eliminated_[i][p];
+    if (std::abs(factor) <= tol_) continue;
+    for (std::size_t c = 0; c < dimension_; ++c) {
+      r[c] -= factor * eliminated_[i][c];
+    }
+    r[p] = 0.0;
+    if (track_combinations_) {
+      for (std::size_t j = 0; j < combos_[i].size(); ++j) {
+        combo[j] += factor * combos_[i][j];
+      }
+    }
+  }
+  linalg::Reduction result;
+  double max_abs = 0.0;
+  for (double v : r) max_abs = std::max(max_abs, std::abs(v));
+  result.independent = max_abs > tol_;
+  if (!result.independent && track_combinations_) {
+    for (std::size_t j = 0; j < combo.size(); ++j) {
+      if (std::abs(combo[j]) > tol_) {
+        result.support.push_back(j);
+        result.coefficients.push_back(combo[j]);
+      }
+    }
+  }
+  if (out_reduced != nullptr) *out_reduced = std::move(r);
+  return result;
+}
+
+linalg::Reduction DenseIncrementalBasis::reduce(
+    std::span<const double> row) const {
+  return reduce_impl(row, nullptr, eliminated_.size());
+}
+
+bool DenseIncrementalBasis::is_independent(
+    std::span<const double> row) const {
+  return reduce_impl(row, nullptr, eliminated_.size()).independent;
+}
+
+bool DenseIncrementalBasis::is_independent_prefix(
+    std::span<const double> row, std::size_t prefix) const {
+  return reduce_impl(row, nullptr, prefix).independent;
+}
+
+linalg::Reduction DenseIncrementalBasis::add_with_reduction(
+    std::span<const double> row) {
+  std::vector<double> reduced;
+  linalg::Reduction result = reduce_impl(row, &reduced, eliminated_.size());
+  if (!result.independent) return result;
+  std::size_t pivot = 0;
+  double best = 0.0;
+  for (std::size_t c = 0; c < dimension_; ++c) {
+    const double v = std::abs(reduced[c]);
+    if (v > best) {
+      best = v;
+      pivot = c;
+    }
+  }
+  // Second full pass recording the subtracted combination.
+  std::vector<double> combo(track_combinations_ ? rank() + 1 : 0, 0.0);
+  if (track_combinations_) {
+    std::vector<double> r(row.begin(), row.end());
+    for (std::size_t i = 0; i < eliminated_.size(); ++i) {
+      const std::size_t p = pivot_cols_[i];
+      const double factor = r[p] / eliminated_[i][p];
+      if (std::abs(factor) <= tol_) continue;
+      for (std::size_t c = 0; c < dimension_; ++c) {
+        r[c] -= factor * eliminated_[i][c];
+      }
+      r[p] = 0.0;
+      for (std::size_t j = 0; j < combos_[i].size(); ++j) {
+        combo[j] -= factor * combos_[i][j];
+      }
+    }
+    combo[rank()] = 1.0;
+  }
+  eliminated_.push_back(std::move(reduced));
+  pivot_cols_.push_back(pivot);
+  combos_.push_back(std::move(combo));
+  return result;
+}
+
+bool DenseIncrementalBasis::try_add(std::span<const double> row) {
+  return add_with_reduction(row).independent;
+}
 
 std::vector<std::vector<double>> null_space(const linalg::Matrix& m,
                                             double tol) {

@@ -1,4 +1,5 @@
-// Full-width dense references for the surviving-row system.
+// Full-width dense references for the surviving-row system and the
+// incremental basis.
 //
 // Production eliminates and solves each surviving row list once, on the
 // links those rows cover (tomo::CoveredSystem, tomo::RowClasses).  These
@@ -8,19 +9,61 @@
 // that dense copy, and CGLS over the full link width, recomputed for every
 // scenario.  The compacted, memoized results must equal them bit for bit
 // (the `restricted-solve-matches-dense` check).
+//
+// DenseIncrementalBasis is linalg::IncrementalBasis as it was before its
+// eliminated rows went sparse: every row stored and reduced over all
+// columns, and a second reduction pass to record an inserted row's
+// combination.  The production basis must match it bit for bit (the
+// `incremental-basis-reduction` check).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "exp/metrics.h"
 #include "infer/inference.h"
 #include "infer/solver.h"
 #include "linalg/elimination.h"
+#include "linalg/incremental_basis.h"
 #include "linalg/matrix.h"
 #include "tomo/path_system.h"
 
 namespace rnt::testkit {
+
+/// Dense-row twin of linalg::IncrementalBasis: the same public contract
+/// at O(rank × dimension) per query.
+class DenseIncrementalBasis {
+ public:
+  explicit DenseIncrementalBasis(std::size_t dimension,
+                                 double tol = linalg::kDefaultTolerance,
+                                 bool track_combinations = true);
+  /// The first `prefix` eliminated rows of `other` (clamped to its rank).
+  DenseIncrementalBasis(const DenseIncrementalBasis& other,
+                        std::size_t prefix);
+
+  std::size_t rank() const { return pivot_cols_.size(); }
+  std::vector<std::size_t> pivot_columns() const { return pivot_cols_; }
+
+  bool try_add(std::span<const double> row);
+  bool is_independent(std::span<const double> row) const;
+  bool is_independent_prefix(std::span<const double> row,
+                             std::size_t prefix) const;
+  linalg::Reduction reduce(std::span<const double> row) const;
+  linalg::Reduction add_with_reduction(std::span<const double> row);
+
+ private:
+  linalg::Reduction reduce_impl(std::span<const double> row,
+                                std::vector<double>* out_reduced,
+                                std::size_t limit) const;
+
+  std::size_t dimension_;
+  double tol_;
+  bool track_combinations_;
+  std::vector<std::vector<double>> eliminated_;
+  std::vector<std::size_t> pivot_cols_;
+  std::vector<std::vector<double>> combos_;
+};
 
 /// Basis of the null space of `m` from its reduced row-echelon form: one
 /// vector of width m.cols() per free column, cols - rank in all.

@@ -17,6 +17,7 @@
 #include "linalg/cgls.h"
 #include "linalg/elimination.h"
 #include "linalg/matrix.h"
+#include "linalg/incremental_basis.h"
 #include "linalg/sparse.h"
 
 namespace rnt::tomo {
@@ -87,6 +88,10 @@ class PathSystem {
 
   /// Row i of A.
   std::span<const double> row(std::size_t i) const { return matrix_.row(i); }
+
+  /// Row i of A by its link ids: the sparse form IncrementalBasis reduces
+  /// without scanning every link column.
+  linalg::UnitRow unit_row(std::size_t i) const { return {paths_.at(i).links}; }
 
   /// True iff no link of path i failed in v.
   bool path_survives(std::size_t i, const failures::FailureVector& v) const;

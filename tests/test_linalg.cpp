@@ -1,15 +1,19 @@
 // Unit and property tests for the linear algebra substrate: matrix ops,
 // elimination / rank / null space (validated against the testkit's exact
-// integer rank referee), the incremental basis oracle, and Cholesky basis
-// selection.
+// integer rank referee), the incremental basis oracle (against the
+// testkit's dense reference basis), and Cholesky basis selection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
 #include "linalg/matrix.h"
+#include "testkit/dense_reference.h"
 #include "testkit/oracles.h"
 #include "util/rng.h"
 
@@ -327,6 +331,200 @@ TEST(IncrementalBasis, DimensionMismatchThrows) {
   IncrementalBasis basis(3);
   const std::vector<double> v = {1, 0};
   EXPECT_THROW(basis.try_add(v), std::invalid_argument);
+}
+
+/// Sparse rows of random reals: each entry zero with probability 0.6,
+/// otherwise uniform in (-2, 2).
+std::vector<std::vector<double>> random_real_rows(std::size_t rows,
+                                                  std::size_t cols, Rng& rng) {
+  std::vector<std::vector<double>> out(rows, std::vector<double>(cols, 0.0));
+  for (auto& row : out) {
+    for (double& v : row) {
+      if (rng.bernoulli(0.4)) v = rng.uniform(-2.0, 2.0);
+    }
+  }
+  return out;
+}
+
+/// Same verdict and support, coefficients equal bit for bit.
+void expect_same_reduction(const Reduction& got, const Reduction& want) {
+  EXPECT_EQ(got.independent, want.independent);
+  EXPECT_EQ(got.support, want.support);
+  ASSERT_EQ(got.coefficients.size(), want.coefficients.size());
+  for (std::size_t k = 0; k < got.coefficients.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.coefficients[k]),
+              std::bit_cast<std::uint64_t>(want.coefficients[k]));
+  }
+}
+
+void expect_same_pivots(const IncrementalBasis& a, const IncrementalBasis& b) {
+  EXPECT_EQ(a.pivot_columns(), b.pivot_columns());
+}
+
+TEST(IncrementalBasis, PrefixCopyBehavesLikeBasisOfThoseRows) {
+  Rng rng(17);
+  const std::size_t cols = 12;
+  const auto rows = random_real_rows(16, cols, rng);
+  IncrementalBasis full(cols);
+  std::vector<std::size_t> accepted;  // Input rows that raised the rank.
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (full.try_add(rows[r])) accepted.push_back(r);
+  }
+  const auto probes = random_real_rows(10, cols, rng);
+  for (std::size_t prefix = 0; prefix <= full.rank() + 1; ++prefix) {
+    IncrementalBasis copy(full, prefix);
+    IncrementalBasis fresh(cols);
+    for (std::size_t k = 0; k < std::min(prefix, accepted.size()); ++k) {
+      fresh.try_add(rows[accepted[k]]);
+    }
+    ASSERT_EQ(copy.rank(), fresh.rank()) << "prefix " << prefix;
+    expect_same_pivots(copy, fresh);
+    for (const auto& probe : probes) {
+      expect_same_reduction(copy.reduce(probe), fresh.reduce(probe));
+      EXPECT_EQ(full.is_independent_prefix(probe, prefix),
+                fresh.is_independent(probe));
+    }
+    // Both keep growing identically past the fork.
+    for (const auto& probe : probes) {
+      expect_same_reduction(copy.add_with_reduction(probe),
+                            fresh.add_with_reduction(probe));
+    }
+    expect_same_pivots(copy, fresh);
+  }
+}
+
+TEST(IncrementalBasis, PivotTieGoesToLowerColumn) {
+  // row1 - row0 = {0, 0, 0, -1, 0, -1}: column 5 is touched before
+  // column 3 (it is a nonzero of the input, column 3 only of row0), yet
+  // the tie on |value| must go to column 3 as in a dense column scan.
+  const std::vector<double> row0 = {0, 0, 2, 1, 0, 0};
+  const std::vector<double> row1 = {0, 0, 2, 0, 0, -1};
+  IncrementalBasis basis(6);
+  testkit::DenseIncrementalBasis reference(6);
+  ASSERT_TRUE(basis.try_add(row0));
+  ASSERT_TRUE(basis.try_add(row1));
+  reference.try_add(row0);
+  reference.try_add(row1);
+  ASSERT_EQ(basis.rank(), 2u);
+  EXPECT_EQ(basis.pivot_columns()[0], 2u);
+  EXPECT_EQ(basis.pivot_columns()[1], 3u);
+  EXPECT_EQ(basis.pivot_columns(), reference.pivot_columns());
+  const std::vector<double> flat = {0, 1, -1, 1};
+  IncrementalBasis single(4);
+  ASSERT_TRUE(single.try_add(flat));
+  EXPECT_EQ(single.pivot_columns()[0], 1u);
+}
+
+TEST(IncrementalBasis, NegativeZeroIsHandledLikePositiveZero) {
+  const std::vector<double> base = {2, 0, 1};
+  IncrementalBasis basis(3);
+  testkit::DenseIncrementalBasis reference(3);
+  ASSERT_TRUE(basis.try_add(base));
+  reference.try_add(base);
+  // A -0.0 at the pivot column skips the basis row like +0.0 would.
+  const std::vector<double> neg = {-0.0, 1, -0.0};
+  const std::vector<double> pos = {0.0, 1, 0.0};
+  expect_same_reduction(basis.reduce(neg), basis.reduce(pos));
+  expect_same_reduction(basis.reduce(neg), reference.reduce(neg));
+  // An all-negative-zero row is the zero row: dependent, empty support.
+  const std::vector<double> zeros = {-0.0, -0.0, -0.0};
+  const Reduction red = basis.reduce(zeros);
+  EXPECT_FALSE(red.independent);
+  EXPECT_TRUE(red.support.empty());
+  EXPECT_FALSE(basis.try_add(zeros));
+  // Inserting the -0.0 row gives the same basis as the +0.0 row.
+  IncrementalBasis twin(basis, basis.rank());
+  expect_same_reduction(basis.add_with_reduction(neg),
+                        twin.add_with_reduction(pos));
+  reference.try_add(neg);
+  expect_same_pivots(basis, twin);
+  EXPECT_EQ(basis.pivot_columns(), reference.pivot_columns());
+  const std::vector<double> probe = {4, 3, -0.0};
+  expect_same_reduction(basis.reduce(probe), twin.reduce(probe));
+  expect_same_reduction(basis.reduce(probe), reference.reduce(probe));
+}
+
+TEST(IncrementalBasis, ClearThenReuseMatchesFreshBasis) {
+  Rng rng(31);
+  const std::size_t cols = 10;
+  IncrementalBasis reused(cols);
+  for (const auto& row : random_real_rows(12, cols, rng)) reused.try_add(row);
+  reused.clear();
+  EXPECT_EQ(reused.rank(), 0u);
+  EXPECT_TRUE(reused.pivot_columns().empty());
+  IncrementalBasis fresh(cols);
+  for (const auto& row : random_real_rows(14, cols, rng)) {
+    expect_same_reduction(reused.add_with_reduction(row),
+                          fresh.add_with_reduction(row));
+  }
+  EXPECT_EQ(reused.rank(), fresh.rank());
+  expect_same_pivots(reused, fresh);
+  for (const auto& probe : random_real_rows(8, cols, rng)) {
+    expect_same_reduction(reused.reduce(probe), fresh.reduce(probe));
+  }
+}
+
+TEST(IncrementalBasis, UnitRowMatchesItsDenseForm) {
+  // Paths as link-id lists; the dense twin sets 1.0 at each link.
+  const std::vector<std::vector<std::uint32_t>> paths = {
+      {0, 3, 5}, {1, 3}, {0, 1, 5}, {2, 4}, {3, 5, 0}, {1, 2, 4, 6},
+      {0, 1, 3, 5}, {6, 6, 2}, {2, 4}};
+  const std::size_t cols = 7;
+  IncrementalBasis unit(cols);
+  IncrementalBasis dense(cols);
+  for (const auto& links : paths) {
+    std::vector<double> row(cols, 0.0);
+    for (const std::uint32_t l : links) row[l] = 1.0;
+    expect_same_reduction(unit.reduce(UnitRow{links}), dense.reduce(row));
+    EXPECT_EQ(unit.is_independent_prefix(UnitRow{links}, 2),
+              dense.is_independent_prefix(row, 2));
+    expect_same_reduction(unit.add_with_reduction(UnitRow{links}),
+                          dense.add_with_reduction(row));
+    expect_same_pivots(unit, dense);
+  }
+  const std::vector<std::uint32_t> outside = {1, 7};
+  EXPECT_THROW(unit.try_add(UnitRow{outside}), std::out_of_range);
+  // The failed call left no residue behind in this thread's scratch.
+  const std::vector<std::uint32_t> probe = {1, 6};
+  std::vector<double> probe_row(cols, 0.0);
+  probe_row[1] = probe_row[6] = 1.0;
+  expect_same_reduction(unit.reduce(UnitRow{probe}), dense.reduce(probe_row));
+}
+
+TEST(IncrementalBasis, ConcurrentConstQueriesAgreeWithSerial) {
+  Rng rng(47);
+  const std::size_t cols = 40;
+  IncrementalBasis basis(cols);
+  for (const auto& row : random_real_rows(30, cols, rng)) basis.try_add(row);
+  const auto probes = random_real_rows(50, cols, rng);
+  std::vector<Reduction> want;
+  std::vector<bool> want_prefix;
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    want.push_back(basis.reduce(probes[k]));
+    want_prefix.push_back(basis.is_independent_prefix(probes[k], k % 31));
+  }
+  const IncrementalBasis& shared = basis;
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+          const std::size_t q = (k + t * 13) % probes.size();
+          const Reduction got = shared.reduce(probes[q]);
+          if (got.independent != want[q].independent ||
+              got.support != want[q].support ||
+              got.coefficients != want[q].coefficients ||
+              shared.is_independent_prefix(probes[q], q % 31) !=
+                  want_prefix[q]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
 // --------------------------------------------------------------------------
