@@ -134,7 +134,7 @@ int main_body(Flags& flags) {
     const auto t0 = Clock::now();
     warm_objective += warm.replan(engine, budget, &ws).objective;
     const auto t1 = Clock::now();
-    core::RomeStats cs;
+    core::SelectorStats cs;
     cold_objective +=
         core::rome(*w.system, w.costs, budget, engine, &cs).objective;
     const auto t2 = Clock::now();

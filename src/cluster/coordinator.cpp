@@ -336,7 +336,8 @@ double Coordinator::evaluate(const std::vector<std::size_t>& subset) {
   }
 }
 
-core::Selection Coordinator::select(double budget, core::RomeStats* stats) {
+core::Selection Coordinator::select(double budget,
+                                    core::SelectorStats* stats) {
   const ClusterEngine cluster_engine(*this);
   const exp::Workload& w = workload_->workload;
   return core::rome(*w.system, w.costs, budget, cluster_engine, stats);

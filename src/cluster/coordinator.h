@@ -88,7 +88,7 @@ class Coordinator {
 
   /// Cluster RoMe at `budget`, bitwise identical to single-node
   /// core::rome over engine().
-  core::Selection select(double budget, core::RomeStats* stats = nullptr);
+  core::Selection select(double budget, core::SelectorStats* stats = nullptr);
 
   /// The local twin engine (also the merge oracle).
   const core::KernelErEngine& engine() const;

@@ -108,7 +108,8 @@ struct Search {
       throw std::runtime_error(
           "branch-and-bound: node cap exceeded after " +
           std::to_string(stats.nodes_explored) +
-          " nodes (raise SelectorOptions::max_nodes or shrink the instance)");
+          " nodes (raise BranchAndBoundOptions::max_nodes or shrink the "
+          "instance)");
     }
     ++stats.nodes_explored;
     if (bit == 0) {

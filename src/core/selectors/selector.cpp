@@ -43,14 +43,7 @@ class RomeSelector final : public Selector {
   Selection select(const tomo::PathSystem& system, const tomo::CostModel& costs,
                    double budget, const ErEngine& engine,
                    SelectorStats* stats) const override {
-    RomeStats rome_stats;
-    Selection sel = rome(system, costs, budget, engine,
-                         stats != nullptr ? &rome_stats : nullptr);
-    if (stats != nullptr) {
-      stats->gain_evaluations += rome_stats.gain_evaluations;
-      stats->iterations += rome_stats.iterations;
-    }
-    return sel;
+    return rome(system, costs, budget, engine, stats);
   }
   std::string name() const override { return "rome"; }
 };
@@ -60,14 +53,7 @@ class EagerRomeSelector final : public Selector {
   Selection select(const tomo::PathSystem& system, const tomo::CostModel& costs,
                    double budget, const ErEngine& engine,
                    SelectorStats* stats) const override {
-    RomeStats rome_stats;
-    Selection sel = rome_eager(system, costs, budget, engine,
-                               stats != nullptr ? &rome_stats : nullptr);
-    if (stats != nullptr) {
-      stats->gain_evaluations += rome_stats.gain_evaluations;
-      stats->iterations += rome_stats.iterations;
-    }
-    return sel;
+    return rome_eager(system, costs, budget, engine, stats);
   }
   std::string name() const override { return "eager"; }
 };
@@ -90,12 +76,10 @@ std::unique_ptr<Selector> make_selector(const std::string& name,
   }
   if (name == "local-search") {
     return std::make_unique<LocalSearchSelector>(
-        std::make_unique<LazyGreedySelector>(), options.local_search_passes);
+        std::make_unique<LazyGreedySelector>());
   }
   if (name == "branch-and-bound") {
     BranchAndBoundOptions bb;
-    bb.max_paths = options.max_paths;
-    bb.max_nodes = options.max_nodes;
     bb.bound_engine = options.bound_engine;
     return std::make_unique<BranchAndBoundSelector>(bb);
   }

@@ -7,8 +7,10 @@
 // frontier; the implementations behind this interface trade gain
 // evaluations, wall-clock and optimality against each other:
 //
-//  * "rome"              — the production lazy (Minoux) greedy of rome.cpp.
-//  * "eager"             — the textbook Algorithm 1 (rome_eager).
+//  * "rome"              — the production lazy (Minoux) greedy of rome.cpp;
+//                          online::Replanner runs the same loop.
+//  * "eager"             — the textbook Algorithm 1 (rome_eager): the
+//                          stochastic-greedy scan with a full sample.
 //  * "lazy-greedy"       — CELF: stale upper bounds in a priority queue
 //                          with exact tie-breaking, bitwise-identical
 //                          selections to "eager" at a fraction of the
@@ -72,20 +74,15 @@ class Selector {
 };
 
 /// Knobs consumed by make_selector(); each selector reads only its own.
+/// "local-search" and "branch-and-bound" otherwise run with the defaults
+/// of LocalSearchSelector and BranchAndBoundOptions; construct them
+/// directly to change their pass or size caps.
 struct SelectorOptions {
   /// Seed for "stochastic-greedy" (per-round subsampling).
   std::uint64_t seed = 1;
   /// Candidates sampled per round by "stochastic-greedy"; 0 picks
   /// max(3, n/4).
   std::size_t sample_size = 0;
-  /// Maximum improvement sweeps for "local-search".
-  std::size_t local_search_passes = 4;
-  /// "branch-and-bound": hard cap on explored search nodes — exceeded
-  /// caps throw std::runtime_error instead of hanging.
-  std::size_t max_nodes = std::size_t{1} << 22;
-  /// "branch-and-bound": maximum candidate-path count (the search is
-  /// exponential; the default matches the testkit oracle's guard).
-  std::size_t max_paths = 16;
   /// "branch-and-bound": admissible pruning bound — must dominate the
   /// objective engine on every subset (ProbBoundEr dominates exact ER,
   /// Eq. 7).  Null falls back to the monotone objective engine itself,
@@ -104,11 +101,11 @@ std::unique_ptr<Selector> make_selector(const std::string& name,
 namespace selector_detail {
 
 /// Floor on a path's cost in the cost-benefit weight, and the staleness
-/// tolerance of the rome heap loops.
+/// tolerance of rome_lazy's heap.
 inline constexpr double kWeightEps = 1e-12;
 
-/// Cost-benefit weight shared by every greedy loop (rome, the replanner
-/// and the greedy selectors), so they compare bitwise.  Free paths get an
+/// Cost-benefit weight shared by every greedy loop (rome_lazy, the eager
+/// scan and CELF), so they compare bitwise.  Free paths get an
 /// effectively infinite weight, so they are always taken first (they
 /// cannot violate the budget).  Inline: it is called once per gain.
 inline double weight_of(double gain, double cost) {

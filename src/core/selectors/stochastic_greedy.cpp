@@ -31,8 +31,8 @@ Selection StochasticGreedySelector::select(const tomo::PathSystem& system,
   while (!remaining.empty()) {
     // Draw this round's candidate positions and scan them in ascending
     // order with a strict `>` so equal weights keep the lowest path
-    // index — with the sample covering everything this is rome_eager's
-    // scan verbatim.
+    // index — with the sample covering everything this is Algorithm 1's
+    // textbook scan (rome_eager).
     std::vector<std::size_t> positions;
     if (sample_size >= remaining.size()) {
       positions.resize(remaining.size());

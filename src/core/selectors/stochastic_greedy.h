@@ -26,7 +26,8 @@ class StochasticGreedySelector final : public Selector {
  public:
   /// `sample_size` candidates are drawn per round; 0 picks
   /// max(3, n/4) for an n-path instance.  A sample covering all
-  /// remaining candidates reproduces rome_eager exactly.
+  /// remaining candidates is the textbook scan; rome_eager is this
+  /// selector with sample_size = n.
   explicit StochasticGreedySelector(std::uint64_t seed = 1,
                                     std::size_t sample_size = 0)
       : seed_(seed), sample_size_(sample_size) {}

@@ -1,5 +1,6 @@
 #include "online/pipeline.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -38,9 +39,9 @@ Pipeline::Pipeline(const tomo::PathSystem& system,
       engine_(system, truth, config_.probe),
       estimator_(system.link_count(), config_.estimator),
       drift_(system.link_count(), config_.drift),
-      replanner_(system, costs, config_.replanner) {
-  if (config_.budget <= 0.0) {
-    throw std::invalid_argument("Pipeline: budget must be positive");
+      replanner_(system, costs) {
+  if (!std::isfinite(config_.budget) || config_.budget <= 0.0) {
+    throw std::invalid_argument("Pipeline: budget must be finite and positive");
   }
   if (config_.policy == ReplanPolicy::kPeriodic && config_.period == 0) {
     throw std::invalid_argument("Pipeline: periodic policy needs period > 0");

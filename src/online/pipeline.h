@@ -60,7 +60,6 @@ struct PipelineConfig {
   std::uint64_t er_seed = 101;
   LinkEstimatorConfig estimator;
   DriftDetectorConfig drift;
-  ReplannerConfig replanner;
   sim::ProbeEngineConfig probe;
   /// True generating model per epoch; required by kOracle (also used for
   /// the initial oracle plan).

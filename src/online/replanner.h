@@ -8,16 +8,17 @@
 // only a little (that is exactly what the drift detector guarantees), so
 // the previous run's weight structure is nearly right.  The warm re-plan:
 //
-//  1. seeds the lazy heap with every path's last evaluated cost-benefit
-//     weight, inflated by a slack factor — stale priorities from the
+//  1. seeds the lazy heap with every affordable path's last evaluated
+//     cost-benefit weight, inflated by 1.5x — stale priorities from the
 //     previous run stand in for the fresh initial pass (0 evaluations).
 //     Previous-selection paths get no special treatment: they compete on
 //     fresh gains like everyone else, so the selection can both keep and
 //     drop them as the distribution moves;
-//  2. runs the standard lazy loop, which re-evaluates every popped path
-//     against the *current* engine before committing, so selected paths
-//     are always justified by fresh gains (and paths whose fresh gain
-//     fell below the tolerance are dropped rather than committed);
+//  2. runs core::rome_lazy, the same loop a cold core::rome run uses,
+//     which re-evaluates every popped path against the *current* engine
+//     before committing, so selected paths are always justified by fresh
+//     gains (and paths whose fresh gain is at most 1e-9 are dropped
+//     rather than committed);
 //  3. re-scores the remembered best single path (1 evaluation) instead of
 //     re-scanning all N for the Algorithm 1 fallback.
 //
@@ -39,30 +40,20 @@
 
 namespace rnt::online {
 
-struct ReplannerConfig {
-  /// Stale heap seeds are inflated by (1 + weight_slack) so moderately
-  /// grown weights still surface in time.
-  double weight_slack = 0.5;
-  /// Warm re-plans commit a path only when its fresh marginal gain
-  /// exceeds this tolerance (cold runs mirror core::rome exactly).
-  double gain_tolerance = 1e-9;
-};
-
 /// Counters describing one re-plan.
 struct ReplanStats {
-  core::RomeStats rome;     ///< Gain evaluations and committed iterations.
-  std::size_t reused = 0;   ///< Selected paths also in the previous plan.
-  bool warm = false;        ///< False for the first (cold) plan.
+  core::SelectorStats rome;  ///< Gain evaluations and committed iterations.
+  std::size_t reused = 0;    ///< Selected paths also in the previous plan.
+  bool warm = false;         ///< False for the first (cold) plan.
 };
 
-/// Stateful RoMe wrapper: the first plan is a cold run identical to
-/// core::rome; subsequent plans warm-start from the previous selection and
-/// weights.  Not thread-safe; callers serialize (the service wraps one
-/// Replanner per pipeline session behind a mutex).
+/// Stateful RoMe wrapper: the first plan is a core::rome run that also
+/// keeps every path's weight and the best single path; subsequent plans
+/// warm-start from those.  Not thread-safe; callers serialize (the
+/// service wraps one Replanner per pipeline session behind a mutex).
 class Replanner {
  public:
-  Replanner(const tomo::PathSystem& system, const tomo::CostModel& costs,
-            ReplannerConfig config = {});
+  Replanner(const tomo::PathSystem& system, const tomo::CostModel& costs);
 
   /// Plans against `engine` within `budget`.  Warm when a previous plan
   /// exists (see header comment), cold otherwise.
@@ -79,17 +70,14 @@ class Replanner {
   std::size_t plans() const { return plans_; }
 
  private:
-  core::Selection plan_cold(const core::ErEngine& engine, double budget,
-                            ReplanStats* stats);
   core::Selection plan_warm(const core::ErEngine& engine, double budget,
-                            ReplanStats* stats);
+                            ReplanStats& stats);
 
   const tomo::PathSystem& system_;
-  ReplannerConfig config_;
   std::vector<double> cost_;         ///< Per-path probing cost (fixed).
   std::vector<double> last_weight_;  ///< Weight when last evaluated.
   core::Selection current_;
-  std::size_t best_single_ = 0;  ///< Best affordable single path, cold run.
+  std::size_t best_single_ = 0;  ///< Best affordable single path.
   bool has_plan_ = false;
   std::size_t plans_ = 0;
 };

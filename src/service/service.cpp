@@ -55,6 +55,18 @@ double total_cost(const exp::Workload& w) {
   return w.costs.subset_cost(*w.system, all);
 }
 
+/// The probing budget a request names: budget-frac (default 0.3) of the
+/// cost of probing every path.  A budget that is not finite or is negative
+/// is rejected, so NaN cannot slip past the selectors' budget tests.
+double request_budget(const Request& request, const exp::Workload& w) {
+  const double budget = request.get_double("budget-frac", 0.3) * total_cost(w);
+  if (!std::isfinite(budget) || budget < 0.0) {
+    throw std::invalid_argument(
+        "budget-frac must give a finite, non-negative budget");
+  }
+  return budget;
+}
+
 /// Same algorithm zoo and seeding as cli_commands.cpp run_algorithm(),
 /// with the cached ProbBound tables standing in for a fresh ProbBoundEr
 /// (its construction is deterministic, so the selection is identical).
@@ -169,17 +181,17 @@ std::vector<std::size_t> resolve_subset(const Request& request,
                                         const CachedWorkload& cw) {
   const std::string explicit_subset = request.get("subset", "");
   if (!explicit_subset.empty()) {
-    // Consume the selection parameters anyway so they are not "unknown".
+    // Consume (and check) the selection parameters anyway so they are not
+    // "unknown".
     request.get("algorithm", "");
     request.get("optimizer", "");
     request.get("kernel", "");
-    request.get_double("budget-frac", 0.3);
+    request_budget(request, cw.workload);
     return parse_subset(explicit_subset, cw.workload.system->path_count());
   }
   const std::string algorithm = request.get("algorithm", "prob-rome");
   const std::string optimizer = request.get("optimizer", "rome");
-  const double budget =
-      request.get_double("budget-frac", 0.3) * total_cost(cw.workload);
+  const double budget = request_budget(request, cw.workload);
   const core::KernelMode kernel =
       core::parse_kernel_mode(request.get("kernel", "auto"));
   return run_algorithm(cw, algorithm, optimizer, budget, kernel).paths;
@@ -320,8 +332,7 @@ Response Service::dispatch(const Request& request) {
       const exp::Workload& w = cw->workload;
       const std::string algorithm = request.get("algorithm", "prob-rome");
       const std::string optimizer = request.get("optimizer", "rome");
-      const double budget =
-          request.get_double("budget-frac", 0.3) * total_cost(w);
+      const double budget = request_budget(request, w);
       const core::KernelMode kernel =
           core::parse_kernel_mode(request.get("kernel", "auto"));
       const core::Selection sel =
@@ -448,8 +459,7 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kReplan: {
       const auto session = session_for(key_from(request));
       const exp::Workload& w = session->workload->workload;
-      const double budget =
-          request.get_double("budget-frac", 0.3) * total_cost(w);
+      const double budget = request_budget(request, w);
       std::lock_guard<std::mutex> lock(session->mu);
       const failures::FailureModel model = session->estimator.model();
       const core::ProbBoundEr engine(*w.system, model);

@@ -7,7 +7,7 @@
 #include <numeric>
 #include <set>
 
-#include "core/exhaustive.h"
+#include "testkit/exhaustive.h"
 #include "core/expected_rank.h"
 #include "core/matrome.h"
 #include "core/rome.h"
@@ -115,8 +115,8 @@ TEST(Rome, LazyMatchesEagerObjective) {
     SmallWorld w(seed, 12);
     tomo::CostModel costs(7.0, {});
     ProbBoundEr engine(*w.system, *w.model);
-    RomeStats lazy_stats;
-    RomeStats eager_stats;
+    SelectorStats lazy_stats;
+    SelectorStats eager_stats;
     const Selection lazy =
         rome(*w.system, costs, 50.0, engine, &lazy_stats);
     const Selection eager =
@@ -167,7 +167,7 @@ TEST(Rome, StatsArePopulated) {
   SmallWorld w(40);
   tomo::CostModel costs = tomo::CostModel::unit();
   ProbBoundEr engine(*w.system, *w.model);
-  RomeStats stats;
+  SelectorStats stats;
   const Selection s = rome(*w.system, costs, 5.0, engine, &stats);
   EXPECT_EQ(s.paths.size(), 5u);
   EXPECT_EQ(stats.iterations, 5u);

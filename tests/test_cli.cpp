@@ -274,5 +274,41 @@ TEST(CliInfer, RejectsNonFiniteNoise) {
   }
 }
 
+TEST(CliDispatch, NonFiniteOrNegativeBudgetsAreRejected) {
+  // select --budget-frac nan printed "budget nan" and selected a path of
+  // cost 400; pipeline --budget-frac nan ran.
+  for (const char* command : {"select", "evaluate", "pipeline"}) {
+    for (const char* frac : {"nan", "inf", "-0.5"}) {
+      const std::vector<const char*> argv = {
+          "rnt_cli", command, "--nodes", "20",         "--links", "30",
+          "--paths", "30",    "--budget-frac", frac};
+      std::ostringstream out;
+      try {
+        dispatch(static_cast<int>(argv.size()),
+                 const_cast<char**>(argv.data()), out);
+        ADD_FAILURE() << command << " accepted --budget-frac " << frac;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "--budget-frac must give a finite, non-negative budget"),
+                  std::string::npos)
+            << command << ": " << e.what();
+      }
+      EXPECT_EQ(out.str().find("nan"), std::string::npos) << out.str();
+    }
+  }
+  // cluster's --budget-fracs list is checked before any worker is dialled.
+  const std::vector<const char*> argv = {"rnt_cli", "cluster", "--workers",
+                                         "7071", "--budget-fracs", "0.1,nan"};
+  std::ostringstream out;
+  try {
+    dispatch(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+             out);
+    ADD_FAILURE() << "cluster accepted --budget-fracs 0.1,nan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--budget-fracs"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace rnt::cli

@@ -262,7 +262,7 @@ TEST(Cluster, SelectBitwiseMatchesSingleNode) {
   const exp::Workload& w = coord.workload().workload;
   for (const double frac : {0.15, 0.3}) {
     const double budget = budget_for(w, frac);
-    core::RomeStats cluster_stats;
+    core::SelectorStats cluster_stats;
     const core::Selection sel = coord.select(budget, &cluster_stats);
     const core::Selection local =
         core::rome(*w.system, w.costs, budget, coord.engine());

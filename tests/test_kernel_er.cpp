@@ -128,8 +128,8 @@ TEST(KernelAccumulator, GainsAndValueTrackScenarioAccumulator) {
 
 TEST(KernelAccumulator, RomeSelectsIdenticalPathsUnderBothEngines) {
   const Twins t = make_twins(55, 8);
-  core::RomeStats scenario_stats;
-  core::RomeStats kernel_stats;
+  core::SelectorStats scenario_stats;
+  core::SelectorStats kernel_stats;
   const auto with_scenario = core::rome(*t.workload.system, t.workload.costs,
                                         30.0, *t.scenario, &scenario_stats);
   const auto with_kernel = core::rome(*t.workload.system, t.workload.costs,
@@ -213,7 +213,7 @@ class CountingEngine : public core::ErEngine {
 TEST(GainMemo, LazyGreedyComputesFewerGainsThanItRequests) {
   const Twins t = make_twins(60, 10);
   CountingEngine counted(*t.scenario);
-  core::RomeStats stats;
+  core::SelectorStats stats;
   const auto counted_selection =
       core::rome(*t.workload.system, t.workload.costs, 25.0, counted, &stats);
   EXPECT_EQ(counted.requests, stats.gain_evaluations);

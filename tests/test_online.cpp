@@ -14,6 +14,7 @@
 #include "online/link_estimator.h"
 #include "online/pipeline.h"
 #include "online/replanner.h"
+#include "testkit/instance.h"
 #include "tomo/estimation.h"
 #include "tomo/monitors.h"
 #include "util/rng.h"
@@ -192,7 +193,7 @@ TEST(Replanner, ColdPlanMatchesCoreRome) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SmallWorld w(seed);
     const core::ProbBoundEr engine(*w.system, *w.model);
-    core::RomeStats rome_stats;
+    core::SelectorStats rome_stats;
     const core::Selection expected =
         core::rome(*w.system, w.costs, w.budget, engine, &rome_stats);
 
@@ -238,13 +239,56 @@ TEST(Replanner, WarmReplanTracksColdObjectiveAfterDrift) {
   const core::Selection warm_sel =
       replanner.replan(engine_after, w.budget, &warm);
 
-  core::RomeStats cold;
+  core::SelectorStats cold;
   const core::Selection cold_sel =
       core::rome(*w.system, w.costs, w.budget, engine_after, &cold);
 
   EXPECT_TRUE(warm.warm);
   EXPECT_GE(warm_sel.objective, 0.95 * cold_sel.objective);
   EXPECT_LT(warm.rome.gain_evaluations, cold.gain_evaluations);
+}
+
+TEST(Replanner, OnlyWarmPlansSkipZeroGainPaths) {
+  // Path 2 duplicates path 0, so once path 0 is in, its gain is exactly
+  // zero.  With a budget that fits everything, the cold plan (core::rome)
+  // commits every affordable path it pops, the duplicate included; the
+  // warm plan commits only paths whose fresh gain clears its tolerance.
+  const testkit::TestInstance inst = testkit::make_instance(
+      {{0u}, {1u}, {0u}}, {0.1, 0.2}, {1.0, 1.0, 1.0}, 1);
+  const core::ExactEr engine(inst.system, inst.model);
+  Replanner replanner(inst.system, inst.costs);
+  const core::Selection cold = replanner.replan(engine, 3.0);
+  ReplanStats warm_stats;
+  const core::Selection warm = replanner.replan(engine, 3.0, &warm_stats);
+  EXPECT_EQ(cold.paths.size(), 3u);
+  ASSERT_EQ(warm.paths.size(), 2u);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm_stats.reused, 2u);
+}
+
+TEST(Replanner, WarmPlanRescansWhenBestSingleNoLongerFits) {
+  // Path 0 is the most available path and the best single path of the
+  // cold plan, but it costs 5: once the budget drops to 1.5 the warm plan
+  // must rescan for the Algorithm 1 fallback instead of reusing it.
+  const testkit::TestInstance inst = testkit::make_instance(
+      {{0u}, {1u}, {2u}}, {0.01, 0.5, 0.4}, {5.0, 1.0, 1.0}, 1);
+  const core::ExactEr engine(inst.system, inst.model);
+  Replanner replanner(inst.system, inst.costs);
+  replanner.replan(engine, 10.0);
+  ReplanStats warm;
+  const core::Selection got = replanner.replan(engine, 1.5, &warm);
+  const core::Selection expected =
+      core::rome(inst.system, inst.costs, 1.5, engine);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_LE(got.cost, 1.5);
+  EXPECT_EQ(got.paths, expected.paths);
+  EXPECT_EQ(got.objective, expected.objective);
+
+  // The rescan leaves an affordable best single path behind, so a warm
+  // plan at a still smaller budget stays within it too.
+  const core::Selection smaller = replanner.replan(engine, 1.0);
+  EXPECT_LE(smaller.cost, 1.0);
+  EXPECT_EQ(smaller.paths, expected.paths);
 }
 
 TEST(Replanner, ResetForcesColdPlan) {

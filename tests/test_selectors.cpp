@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "cli_commands.h"
-#include "core/exhaustive.h"
+#include "testkit/exhaustive.h"
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
 #include "core/rome.h"
@@ -221,7 +221,7 @@ TEST(LazyGreedy, BitwiseEagerAcrossEnginesAndBudgets) {
       core::SelectorStats lazy_stats, eager_stats;
       const core::Selection lazy = core::LazyGreedySelector().select(
           *w.system, w.costs, budget, engine, &lazy_stats);
-      core::RomeStats rome_stats;
+      core::SelectorStats rome_stats;
       const core::Selection eager =
           core::rome_eager(*w.system, w.costs, budget, engine, &rome_stats);
       EXPECT_EQ(lazy.paths, eager.paths)

@@ -577,6 +577,29 @@ TEST(Service, InferRejectsNonFiniteNoise) {
   EXPECT_TRUE(svc.handle_line("infer " + params + " noise=0").ok);
 }
 
+TEST(Service, NonFiniteOrNegativeBudgetsAreRejected) {
+  // budget-frac=nan passed every budget test and selected paths costing
+  // more than any budget; inf and negative fractions fared no better.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string wparams = "nodes=30 links=60 seed=3 intensity=5 paths=30";
+  for (const char* frac : {"nan", "inf", "-inf", "-0.1", "1e308"}) {
+    for (const std::string& line :
+         {"select " + wparams + " budget-frac=" + frac,
+          "replan " + wparams + " budget-frac=" + frac,
+          "er-eval " + wparams + " scenarios=5 budget-frac=" + frac,
+          "er-eval " + wparams + " subset=0,1 scenarios=5 budget-frac=" +
+              frac}) {
+      const Response r = svc.handle_line(line);
+      ASSERT_FALSE(r.ok) << line;
+      EXPECT_NE(r.error.find(
+                    "budget-frac must give a finite, non-negative budget"),
+                std::string::npos)
+          << r.error;
+    }
+  }
+  EXPECT_TRUE(svc.handle_line("select " + wparams + " budget-frac=0").ok);
+}
+
 // --------------------------------------------------------------------------
 // TCP front end
 // --------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/exhaustive.h"
+#include "testkit/exhaustive.h"
 #include "core/expected_rank.h"
 #include "core/knapsack.h"
 #include "core/rome.h"

@@ -183,6 +183,19 @@ double total_cost(const exp::Workload& w) {
   return w.costs.subset_cost(*w.system, all);
 }
 
+/// The probing budget --budget-frac (default 0.3) names, as a fraction of
+/// the cost of probing every path.  A budget that is not finite or is
+/// negative is rejected, so NaN cannot slip past the selectors' budget
+/// tests.
+double budget_of(Flags& flags, const exp::Workload& w) {
+  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  if (!std::isfinite(budget) || budget < 0.0) {
+    throw std::invalid_argument(
+        "--budget-frac must give a finite, non-negative budget");
+  }
+  return budget;
+}
+
 /// Parses a CSV of positive failure intensities ("2,10,5").
 std::vector<double> parse_intensities(const std::string& csv) {
   std::vector<double> intensities;
@@ -360,7 +373,7 @@ int cmd_select(Flags& flags, std::ostream& out) {
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const std::string optimizer = flags.get_string("optimizer", "rome");
   const std::string engine_kind = flags.get_string("engine", "");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const core::Selection sel =
       run_algorithm(w, algorithm, budget, w.seed, optimizer, engine_kind,
                     flags.get_string("kernel", "auto"));
@@ -397,7 +410,7 @@ int cmd_select(Flags& flags, std::ostream& out) {
 int cmd_evaluate(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const auto scenarios = positive_count(flags, "scenarios", 200);
   const bool identifiability = flags.get_bool("identifiability", false);
 
@@ -434,7 +447,7 @@ int cmd_evaluate(Flags& flags, std::ostream& out) {
 int cmd_learn(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string which = flags.get_string("learner", "lsr");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const auto epochs = flags.get_count("epochs", 500);
 
   std::unique_ptr<learning::PathLearner> learner;
@@ -485,7 +498,7 @@ int cmd_learn(Flags& flags, std::ostream& out) {
 int cmd_localize(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const auto trials = positive_count(flags, "scenarios", 300);
   const core::Selection sel =
       run_algorithm(w, algorithm, budget, w.seed,
@@ -509,7 +522,7 @@ int cmd_localize(Flags& flags, std::ostream& out) {
 int cmd_localize_node(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const std::string family = flags.get_string("family", "node");
   if (family != "node" && family != "link") {
     throw std::invalid_argument("--family must be node or link");
@@ -561,7 +574,7 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
 int cmd_infer(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget = budget_of(flags, w);
   const std::string family = flags.get_string("family", "independent");
 
   infer::InferenceConfig config;
@@ -667,7 +680,7 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
   }
 
   online::PipelineConfig config;
-  config.budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  config.budget = budget_of(flags, w);
   config.policy =
       online::parse_replan_policy(flags.get_string("policy", "adaptive"));
   config.period = flags.get_count("period", 20);
@@ -843,7 +856,7 @@ std::vector<double> parse_fracs(const std::string& csv) {
   while (std::getline(in, token, ',')) {
     if (token.empty()) continue;
     const double value = std::stod(token);
-    if (value <= 0.0 || value > 1.0) {
+    if (!(value > 0.0 && value <= 1.0)) {
       throw std::invalid_argument("--budget-fracs: want fractions in (0, 1]");
     }
     fracs.push_back(value);
