@@ -4,6 +4,8 @@
 #include <map>
 #include <thread>
 
+#include "boolnt/incidence.h"
+
 namespace rnt::boolnt {
 namespace {
 
@@ -72,14 +74,10 @@ IdentifiabilityReport identifiability_report(
   // component touches probed path subset[q].
   const std::size_t words = (subset.size() + 63) / 64;
   std::vector<Signature> component_mask(n, Signature(words, 0));
-  for (std::size_t c = 0; c < n; ++c) {
-    const auto& links = space.component(c).links;
-    for (std::size_t q = 0; q < subset.size(); ++q) {
-      const auto& path = system.path(subset[q]).links;
-      const bool hit = std::find_first_of(path.begin(), path.end(),
-                                          links.begin(), links.end()) !=
-                       path.end();
-      if (hit) component_mask[c][q / 64] |= std::uint64_t{1} << (q % 64);
+  const ProbeIncidence incidence = probe_incidence(system, subset, space);
+  for (std::size_t q = 0; q < subset.size(); ++q) {
+    for (std::uint32_t c : incidence.of(q)) {
+      component_mask[c][q / 64] |= std::uint64_t{1} << (q % 64);
     }
   }
 

@@ -3,25 +3,10 @@
 #include <algorithm>
 #include <set>
 
+#include "boolnt/incidence.h"
+
 namespace rnt::boolnt {
 namespace {
-
-/// Does the component's link set intersect the path's (both sorted)?
-bool touches(const std::vector<std::uint32_t>& component_links,
-             const std::vector<graph::EdgeId>& path_links) {
-  auto a = component_links.begin();
-  auto b = path_links.begin();
-  while (a != component_links.end() && b != path_links.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Enumerates hitting sets of `hitters` (per failed probe, the feasible
 /// components touching it) up to size `max_failures`, branching on the
@@ -95,21 +80,26 @@ std::vector<std::vector<std::uint32_t>> minimal_sets(
   return out;
 }
 
-}  // namespace
-
-MultiLocalizationResult localize_multi_failure(
+/// localize_multi_failure over a prebuilt incidence of `subset`: each
+/// surviving probe clears its components from `feasible`, and each failed
+/// probe's hitters are its component list filtered by `feasible`.  The
+/// lists are ascending, so every hitter list is too.
+MultiLocalizationResult localize_indexed(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
-    const failures::FailureVector& v, const HypothesisSpace& space,
-    std::size_t max_failures, std::size_t max_candidates) {
+    const ProbeIncidence& incidence, std::size_t component_count,
+    const failures::FailureVector& v, std::size_t max_failures,
+    std::size_t max_candidates) {
   MultiLocalizationResult result;
   std::vector<std::size_t> failed;
-  std::vector<std::size_t> survived;
-  for (std::size_t q : subset) {
-    if (system.path_survives(q, v)) {
-      survived.push_back(q);
-    } else {
-      failed.push_back(q);
+  std::vector<bool> feasible(component_count, true);
+  for (std::size_t p = 0; p < subset.size(); ++p) {
+    if (!system.path_survives(subset[p], v)) {
+      failed.push_back(p);
+      continue;
     }
+    // Exoneration: a component touching a surviving probe cannot have
+    // failed, so it leaves the hypothesis space.
+    for (std::uint32_t c : incidence.of(p)) feasible[c] = false;
   }
   if (failed.empty()) {
     result.no_failure = true;
@@ -118,27 +108,13 @@ MultiLocalizationResult localize_multi_failure(
   }
   if (max_failures == 0) return result;  // Nothing can explain a failure.
 
-  // Exoneration: a component touching any surviving probe cannot have
-  // failed, so it is removed from the hypothesis space up front.
-  std::vector<bool> feasible(space.component_count(), true);
-  for (std::size_t c = 0; c < space.component_count(); ++c) {
-    for (std::size_t q : survived) {
-      if (touches(space.component(c).links, system.path(q).links)) {
-        feasible[c] = false;
-        break;
-      }
-    }
-  }
   // Per failed probe, the feasible components that could explain it.
   std::vector<std::vector<std::uint32_t>> hitters(failed.size());
-  for (std::size_t p = 0; p < failed.size(); ++p) {
-    for (std::size_t c = 0; c < space.component_count(); ++c) {
-      if (feasible[c] &&
-          touches(space.component(c).links, system.path(failed[p]).links)) {
-        hitters[p].push_back(static_cast<std::uint32_t>(c));
-      }
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    for (std::uint32_t c : incidence.of(failed[i])) {
+      if (feasible[c]) hitters[i].push_back(c);
     }
-    if (hitters[p].empty()) return result;  // No hypothesis explains it.
+    if (hitters[i].empty()) return result;  // No hypothesis explains it.
   }
 
   std::set<std::vector<std::uint32_t>> found;
@@ -155,6 +131,18 @@ MultiLocalizationResult localize_multi_failure(
   return result;
 }
 
+}  // namespace
+
+MultiLocalizationResult localize_multi_failure(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureVector& v, const HypothesisSpace& space,
+    std::size_t max_failures, std::size_t max_candidates) {
+  return localize_indexed(system, subset,
+                          probe_incidence(system, subset, space),
+                          space.component_count(), v, max_failures,
+                          max_candidates);
+}
+
 MultiLocalizationScore score_multi_localization(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
     const HypothesisSpace& space, std::size_t max_failures,
@@ -166,16 +154,11 @@ MultiLocalizationScore score_multi_localization(
     score.invisible = trials;
     return score;
   }
-  // Which components can the probes see at all?
+  // One incidence for every trial; a component is visible iff it touches
+  // some probe.
+  const ProbeIncidence incidence = probe_incidence(system, subset, space);
   std::vector<bool> visible(space.component_count(), false);
-  for (std::size_t c = 0; c < space.component_count(); ++c) {
-    for (std::size_t q : subset) {
-      if (touches(space.component(c).links, system.path(q).links)) {
-        visible[c] = true;
-        break;
-      }
-    }
-  }
+  for (std::uint32_t c : incidence.ids) visible[c] = true;
   double candidate_total = 0.0;
   std::size_t visible_trials = 0;
   for (std::size_t t = 0; t < trials; ++t) {
@@ -208,7 +191,8 @@ MultiLocalizationScore score_multi_localization(
     ++visible_trials;
     const failures::FailureVector v = space.failure_vector(truth);
     const MultiLocalizationResult result =
-        localize_multi_failure(system, subset, v, space, max_failures);
+        localize_indexed(system, subset, incidence, space.component_count(),
+                         v, max_failures, kDefaultMaxCandidates);
     candidate_total += static_cast<double>(result.candidates.size());
     const bool found =
         std::find(result.candidates.begin(), result.candidates.end(),

@@ -29,8 +29,13 @@ namespace rnt::boolnt {
 struct MultiLocalizationResult {
   /// True iff no probed path failed (the empty hypothesis explains it).
   bool no_failure = false;
-  /// True iff enumeration stopped at the candidate cap; `candidates` is
-  /// then a prefix of the full answer.
+  /// True iff enumeration stopped at the candidate cap.  `candidates` then
+  /// holds the inclusion-minimal members of the hitting sets the search
+  /// reached before the cap.  Each is still consistent with the
+  /// observation, but the list is not a prefix of the full answer: the
+  /// search can reach {a,c} before {c}, so a returned set may be
+  /// non-minimal in the full answer, and minimal sets it never reached are
+  /// missing.
   bool truncated = false;
   /// Inclusion-minimal consistent hypotheses of size <= max_failures, each
   /// a sorted component-id set, in lexicographic order.
@@ -39,13 +44,17 @@ struct MultiLocalizationResult {
   bool exact() const { return candidates.size() == 1 && !no_failure; }
 };
 
+/// Default cap on the hitting sets one localization enumerates.
+inline constexpr std::size_t kDefaultMaxCandidates = 4096;
+
 /// Localizes from the outcome of probing `subset` under scenario v,
 /// hypothesizing at most `max_failures` simultaneous component failures.
 /// `max_candidates` caps the enumeration (sets `truncated` when hit).
 MultiLocalizationResult localize_multi_failure(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
     const failures::FailureVector& v, const HypothesisSpace& space,
-    std::size_t max_failures, std::size_t max_candidates = 4096);
+    std::size_t max_failures,
+    std::size_t max_candidates = kDefaultMaxCandidates);
 
 /// Aggregate multi-failure localization quality of a selection.
 struct MultiLocalizationScore {
@@ -69,13 +78,16 @@ struct MultiLocalizationScore {
 };
 
 /// Injects `trials` failures of 1..max_failures components (trial t draws
-/// 1 + (t mod max_failures) distinct components, weighted by
-/// `component_weights` when non-empty, uniformly otherwise) and scores
+/// 1 + (t mod min(max_failures, component count)) distinct components,
+/// weighted by `component_weights` when non-empty, uniformly otherwise;
+/// every trial localizes with the default candidate cap) and scores
 /// localization against the *visible* truth — the injected components that
 /// touch at least one probed path.  A truth whose visible part is not an
 /// inclusion-minimal explanation of its own observation counts as misled:
 /// Boolean observations genuinely cannot separate it from the smaller
-/// explanation.
+/// explanation.  The probe–component incidence is built once for all
+/// trials, so a trial costs its failed and surviving probes' component
+/// lists plus the hitting-set search.
 MultiLocalizationScore score_multi_localization(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
     const HypothesisSpace& space, std::size_t max_failures,

@@ -1247,9 +1247,27 @@ std::vector<boolnt::Component> pseudo_node_components(std::size_t links,
   return comps;
 }
 
+/// Equal tallies and bitwise-equal mean candidate counts.
+bool same_score(const boolnt::MultiLocalizationScore& a,
+                const boolnt::MultiLocalizationScore& b) {
+  return a.trials == b.trials && a.exact == b.exact &&
+         a.ambiguous == b.ambiguous && a.misled == b.misled &&
+         a.invisible == b.invisible &&
+         same_bits(a.mean_candidates, b.mean_candidates);
+}
+
+std::string score_string(const boolnt::MultiLocalizationScore& s) {
+  return std::to_string(s.exact) + "/" + std::to_string(s.ambiguous) + "/" +
+         std::to_string(s.misled) + "/" + std::to_string(s.invisible) +
+         " mean " + fmt(s.mean_candidates);
+}
+
 CheckResult check_node_localization(const TestInstance& inst,
                                     const FaultPlan&) {
   Rng rng = check_rng(inst, "node-localization");
+  // Scoring draws from its own stream so the checks above see the same
+  // scenarios whether or not it runs.
+  Rng score_rng = check_rng(inst, "node-localization-score");
   const std::size_t links = inst.link_count();
   // Two hypothesis spaces: singleton links (multi-link localization) and
   // pseudo-node groups (node localization without needing a graph).
@@ -1295,6 +1313,37 @@ CheckResult check_node_localization(const TestInstance& inst,
               std::to_string(k) + ", " + std::to_string(subset.size()) +
               " probes): " + std::to_string(result.candidates.size()) +
               " candidates != oracle's " + std::to_string(oracle.size()));
+        }
+      }
+      // The scorer against a replay of its own truth draws in which the
+      // brute-force oracle localizes every visible trial; the first round
+      // draws uniformly, the second by component weights.
+      for (std::size_t round = 0; round < 2; ++round) {
+        std::vector<double> weights;
+        if (round == 1) {
+          for (std::size_t c = 0; c < space.component_count(); ++c) {
+            weights.push_back(score_rng.uniform(0.1, 1.0));
+          }
+        }
+        const std::uint64_t seed = score_rng.next_word();
+        Rng scored(seed);
+        Rng replayed(seed);
+        const auto score = boolnt::score_multi_localization(
+            inst.system, subset, space, k, 6, scored, weights);
+        const auto expected = replay_multi_localization_score(
+            inst, subset, component_links, k, 6, replayed, weights,
+            [&](const std::vector<bool>& observed) {
+              return oracle_multi_localization(inst, subset, component_links,
+                                               observed, k);
+            });
+        if (!same_score(score, expected)) {
+          return CheckResult::fail(
+              "score_multi_localization (" +
+              std::to_string(space.component_count()) + " components, k=" +
+              std::to_string(k) + ", " + std::to_string(subset.size()) +
+              " probes): exact/ambiguous/misled/invisible " +
+              score_string(score) + " != oracle replay's " +
+              score_string(expected));
         }
       }
       // Identifiability is integer work: every thread count must produce
@@ -1701,9 +1750,9 @@ const std::vector<Check>& all_checks() {
        "bitwise eager RoMe, every selector clears (1 - 1/sqrt(e))",
        4, true, check_optimizer_bounds},
       {"node-localization",
-       "multi-failure Boolean localization equals the brute-force "
-       "hitting-set oracle; identifiability reports are thread-invariant "
-       "and imply unique localization",
+       "multi-failure Boolean localization and its trial scorer equal the "
+       "brute-force hitting-set oracle; identifiability reports are "
+       "thread-invariant and imply unique localization",
        2, true, check_node_localization},
       {"family-engines-agree",
        "node/cascade families: enumeration mass and marginals check out, "

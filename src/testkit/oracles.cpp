@@ -385,4 +385,68 @@ std::vector<std::vector<std::uint32_t>> oracle_multi_localization(
   return out;
 }
 
+boolnt::MultiLocalizationScore replay_multi_localization_score(
+    const TestInstance& instance, const std::vector<std::size_t>& subset,
+    const std::vector<std::vector<std::uint32_t>>& component_links,
+    std::size_t max_failures, std::size_t trials, Rng& rng,
+    const std::vector<double>& weights, const MultiLocalizer& localize) {
+  const std::size_t n = component_links.size();
+  boolnt::MultiLocalizationScore score;
+  score.trials = trials;
+  if (n == 0 || max_failures == 0) {
+    score.invisible = trials;
+    return score;
+  }
+  std::vector<bool> probed(instance.link_count(), false);
+  for (std::size_t q : subset) {
+    for (std::uint32_t l : instance.path_links.at(q)) probed.at(l) = true;
+  }
+  double candidate_total = 0.0;
+  std::size_t visible_trials = 0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    const std::size_t want = 1 + t % std::min(max_failures, n);
+    std::vector<std::size_t> truth;
+    if (weights.empty()) {
+      truth = rng.sample_without_replacement(n, want);
+    } else {
+      std::vector<double> left = weights;
+      for (std::size_t draw = 0; draw < want; ++draw) {
+        truth.push_back(rng.weighted_index(left));
+        left[truth.back()] = 0.0;
+      }
+    }
+    std::vector<bool> observed(instance.link_count(), false);
+    std::vector<std::uint32_t> visible_truth;
+    for (std::size_t c : truth) {
+      bool visible = false;
+      for (std::uint32_t l : component_links.at(c)) {
+        observed.at(l) = true;
+        visible = visible || probed[l];
+      }
+      if (visible) visible_truth.push_back(static_cast<std::uint32_t>(c));
+    }
+    std::sort(visible_truth.begin(), visible_truth.end());
+    if (visible_truth.empty()) {
+      ++score.invisible;
+      continue;
+    }
+    ++visible_trials;
+    const auto candidates = localize(observed);
+    candidate_total += static_cast<double>(candidates.size());
+    if (std::find(candidates.begin(), candidates.end(), visible_truth) ==
+        candidates.end()) {
+      ++score.misled;
+    } else if (candidates.size() == 1) {
+      ++score.exact;
+    } else {
+      ++score.ambiguous;
+    }
+  }
+  score.mean_candidates =
+      visible_trials == 0
+          ? 0.0
+          : candidate_total / static_cast<double>(visible_trials);
+  return score;
+}
+
 }  // namespace rnt::testkit

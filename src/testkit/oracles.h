@@ -9,10 +9,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "boolnt/localize.h"
 #include "testkit/instance.h"
+#include "util/rng.h"
 
 namespace rnt::testkit {
 
@@ -102,5 +105,23 @@ std::vector<std::vector<std::uint32_t>> oracle_multi_localization(
     const TestInstance& instance, const std::vector<std::size_t>& subset,
     const std::vector<std::vector<std::uint32_t>>& component_links,
     const std::vector<bool>& observed, std::size_t max_failures);
+
+/// Maps an observed failure vector to multi-failure candidate sets.
+using MultiLocalizer = std::function<std::vector<std::vector<std::uint32_t>>(
+    const std::vector<bool>& observed)>;
+
+/// Replays boolnt::score_multi_localization's truth draws from `rng` —
+/// trial t draws 1 + t mod min(max_failures, components) distinct
+/// components, by `weights` when non-empty, uniformly otherwise — and
+/// tallies each trial whose truth touches a probe of `subset` with the
+/// candidates `localize` returns for the truth's failure vector.
+/// Visibility and failure vectors come from `instance.path_links` and
+/// `component_links` alone, so with oracle_multi_localization as
+/// `localize` the replay shares no code with boolnt.
+boolnt::MultiLocalizationScore replay_multi_localization_score(
+    const TestInstance& instance, const std::vector<std::size_t>& subset,
+    const std::vector<std::vector<std::uint32_t>>& component_links,
+    std::size_t max_failures, std::size_t trials, Rng& rng,
+    const std::vector<double>& weights, const MultiLocalizer& localize);
 
 }  // namespace rnt::testkit

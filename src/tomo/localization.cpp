@@ -8,25 +8,26 @@ LocalizationResult localize_single_failure(
     const PathSystem& system, const std::vector<std::size_t>& subset,
     const failures::FailureVector& v) {
   LocalizationResult result;
-  std::vector<bool> on_all_failed(system.link_count(), true);
+  // on_failed[l] counts the failed probes, in subset order, that all carry
+  // l: it advances from k to k + 1 only on the (k+1)-th failed probe, so
+  // it equals the number of failed probes iff every one of them carries l.
+  std::vector<std::size_t> on_failed(system.link_count(), 0);
   std::vector<bool> exonerated(system.link_count(), false);
-  bool any_failed = false;
+  std::size_t failed = 0;
   for (std::size_t q : subset) {
     const auto& links = system.path(q).links;
     if (system.path_survives(q, v)) {
       for (graph::EdgeId l : links) exonerated[l] = true;
     } else {
-      any_failed = true;
-      std::vector<bool> on_this(system.link_count(), false);
-      for (graph::EdgeId l : links) on_this[l] = true;
-      for (std::size_t l = 0; l < on_all_failed.size(); ++l) {
-        on_all_failed[l] = on_all_failed[l] && on_this[l];
+      for (graph::EdgeId l : links) {
+        if (on_failed[l] == failed) on_failed[l] = failed + 1;
       }
+      ++failed;
     }
   }
-  if (!any_failed) return result;  // Nothing observed: no candidates.
-  for (std::size_t l = 0; l < on_all_failed.size(); ++l) {
-    if (on_all_failed[l] && !exonerated[l]) {
+  if (failed == 0) return result;  // Nothing observed: no candidates.
+  for (std::size_t l = 0; l < on_failed.size(); ++l) {
+    if (on_failed[l] == failed && !exonerated[l]) {
       result.candidates.push_back(static_cast<graph::EdgeId>(l));
     }
   }

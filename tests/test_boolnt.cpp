@@ -1,8 +1,10 @@
 // Boolean network tomography subsystem (src/boolnt): hand-checked maximal
 // identifiability on the paper's Fig. 1 topology and on line/star/complete
 // graphs (vertex-connectivity corner cases), multi-failure localization
-// semantics including the k=0/1 degeneracies, and bitwise determinism of
-// the identifiability report across thread counts.
+// semantics including the k=0/1 degeneracies and the candidate cap,
+// bitwise determinism of the identifiability report across thread counts,
+// and the trial scorer against per-trial localization on overlapping
+// components.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 #include "failures/node_failure.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "testkit/instance.h"
+#include "testkit/oracles.h"
 #include "tomo/localization.h"
 #include "tomo/path_system.h"
 #include "util/rng.h"
@@ -288,6 +292,117 @@ TEST(Localize, KEqualsOneMatchesSingleLinkLocalization) {
     Candidates expected;
     for (const graph::EdgeId c : single.candidates) expected.push_back({c});
     EXPECT_EQ(multi.candidates, expected) << "link " << l;
+  }
+}
+
+/// True iff `candidate` failing would fail exactly the probes v fails.
+bool consistent(const tomo::PathSystem& system,
+                const std::vector<std::size_t>& subset,
+                const failures::FailureVector& v,
+                const boolnt::HypothesisSpace& space,
+                const std::vector<std::uint32_t>& candidate) {
+  const failures::FailureVector predicted = space.failure_vector(candidate);
+  for (const std::size_t q : subset) {
+    if (system.path_survives(q, v) != system.path_survives(q, predicted)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Localize, TruncatedCandidatesAreConsistentButNotAPrefix) {
+  // Probes {l0,l2} and {l1,l2} both fail when l2 does.  Branching on the
+  // first probe reaches {0,1} and {0,2} before {2}, so a cap of two stops
+  // the search holding {0,2}, which the full answer replaces by {2}.
+  const tomo::PathSystem system(3, {probe(0, 1, {0, 2}), probe(2, 3, {1, 2})});
+  const auto space = boolnt::HypothesisSpace::links_of(3);
+  const auto subset = all_paths(system);
+  failures::FailureVector v(3, false);
+  v[2] = true;
+  const auto full =
+      boolnt::localize_multi_failure(system, subset, v, space, 2);
+  EXPECT_FALSE(full.truncated);
+  EXPECT_EQ(full.candidates, (Candidates{{0, 1}, {2}}));
+  const auto capped =
+      boolnt::localize_multi_failure(system, subset, v, space, 2, 2);
+  EXPECT_TRUE(capped.truncated);
+  EXPECT_EQ(capped.candidates, (Candidates{{0, 1}, {0, 2}}));
+  for (const auto& candidate : capped.candidates) {
+    EXPECT_TRUE(consistent(system, subset, v, space, candidate));
+  }
+}
+
+// --------------------------------------------------------------------------
+// Overlapping components: SRLG-style shared links, one component off every
+// probe and one only partly probed.
+// --------------------------------------------------------------------------
+
+testkit::TestInstance srlg_instance() {
+  return testkit::make_instance(
+      {{0, 1}, {1, 2, 3}, {3, 4}, {4, 5}, {0, 5}, {2, 4}},
+      std::vector<double>(8, 0.1), std::vector<double>(6, 1.0), 1);
+}
+
+std::vector<std::vector<std::uint32_t>> srlg_component_links() {
+  // c6 = {6,7} touches no probe; c7 = {2,6} is seen only through link 2.
+  return {{0, 1}, {1, 3}, {2}, {3, 4}, {5}, {4, 5}, {6, 7}, {2, 6}};
+}
+
+boolnt::HypothesisSpace srlg_space() {
+  std::vector<boolnt::Component> components;
+  for (const auto& links : srlg_component_links()) {
+    components.push_back({"c" + std::to_string(components.size()), links});
+  }
+  return boolnt::HypothesisSpace(8, std::move(components));
+}
+
+void expect_same_score(const boolnt::MultiLocalizationScore& a,
+                       const boolnt::MultiLocalizationScore& b) {
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.ambiguous, b.ambiguous);
+  EXPECT_EQ(a.misled, b.misled);
+  EXPECT_EQ(a.invisible, b.invisible);
+  EXPECT_EQ(a.mean_candidates, b.mean_candidates);
+}
+
+TEST(Score, IndexedScorerMatchesPerTrialLocalizationOnOverlappingComponents) {
+  const testkit::TestInstance inst = srlg_instance();
+  const auto space = srlg_space();
+  const auto component_links = srlg_component_links();
+  const std::vector<std::vector<std::size_t>> subsets = {
+      {0, 1, 2, 3, 4, 5}, {0, 2, 5}, {1, 3}};
+  const std::vector<std::vector<double>> weightings = {
+      {}, {0.5, 1.0, 2.0, 0.25, 1.5, 0.75, 3.0, 1.0}};
+  for (const auto& subset : subsets) {
+    for (const auto& weights : weightings) {
+      for (const std::size_t k : {1u, 2u, 3u}) {
+        Rng scored(17);
+        const auto score = boolnt::score_multi_localization(
+            inst.system, subset, space, k, 150, scored, weights);
+        EXPECT_EQ(score.exact + score.ambiguous + score.misled +
+                      score.invisible,
+                  score.trials);
+        EXPECT_GT(score.invisible, 0u);  // c6 alone is never seen.
+        Rng per_trial(17);
+        expect_same_score(
+            score, testkit::replay_multi_localization_score(
+                       inst, subset, component_links, k, 150, per_trial,
+                       weights, [&](const std::vector<bool>& observed) {
+                         return boolnt::localize_multi_failure(
+                                    inst.system, subset, observed, space, k)
+                             .candidates;
+                       }));
+        Rng oracle(17);
+        expect_same_score(
+            score, testkit::replay_multi_localization_score(
+                       inst, subset, component_links, k, 150, oracle,
+                       weights, [&](const std::vector<bool>& observed) {
+                         return testkit::oracle_multi_localization(
+                             inst, subset, component_links, observed, k);
+                       }));
+      }
+    }
   }
 }
 
