@@ -31,9 +31,9 @@ std::size_t memo_index(KernelMode resolved) {
   return resolved == KernelMode::kSliced ? 1 : 0;
 }
 
-std::string mask_key(const std::vector<std::uint64_t>& mask) {
-  return std::string(reinterpret_cast<const char*>(mask.data()),
-                     mask.size() * sizeof(std::uint64_t));
+/// Words of a bitmask over `bits` positions (at least one).
+std::size_t words_for(std::size_t bits) {
+  return bits == 0 ? 1 : (bits + 63) / 64;
 }
 
 /// Rank of the masked subset rows by greedy independent-row collection:
@@ -47,7 +47,7 @@ std::string mask_key(const std::vector<std::uint64_t>& mask) {
 std::size_t hybrid_rank(const tomo::PathSystem& system,
                         const std::vector<std::size_t>& subset,
                         const linalg::BitRows& sub,
-                        const std::vector<std::uint64_t>& keep) {
+                        std::span<const std::uint64_t> keep) {
   linalg::Gf2Basis gf2(system.link_count());
   std::unique_ptr<linalg::IncrementalBasis> exact;
   std::vector<std::size_t> kept;  // Subset positions committed so far.
@@ -176,6 +176,9 @@ KernelErEngine::KernelErEngine(const tomo::PathSystem& system,
                        std::move(name)),
       path_bits_(system.link_count()),
       failed_bits_(system.link_count()) {
+  for (RankMemo& memo : rank_memo_) {
+    memo.masks = MaskTable(words_for(system.path_count()));
+  }
   path_bits_.reserve(system.path_count());
   for (std::size_t p = 0; p < system.path_count(); ++p) {
     path_bits_.append_indices(system.path(p).links);
@@ -205,7 +208,7 @@ std::size_t KernelErEngine::rank_memo_entries(KernelMode mode) const {
   const KernelMode resolved =
       mode == KernelMode::kAuto ? resolved_kernel_mode() : mode;
   const std::lock_guard<std::mutex> lock(memo_mutex_);
-  return rank_memo_[memo_index(resolved)].size();
+  return rank_memo_[memo_index(resolved)].masks.size();
 }
 
 KernelErEngine KernelErEngine::monte_carlo(const tomo::PathSystem& system,
@@ -253,25 +256,19 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
   linalg::BitRows sub(system_.link_count());
   sub.reserve(subset.size());
   for (std::size_t q : subset) sub.append_words(path_bits_.row(q));
-  const std::size_t mask_words =
-      subset.empty() ? 1 : (subset.size() + 63) / 64;
-  const std::size_t paths = system_.path_count();
-  const std::size_t key_words = paths == 0 ? 1 : (paths + 63) / 64;
+  const std::size_t keep_words = words_for(subset.size());
 
   // Surviving-row bitmask per scenario, deduplicated on the surviving
   // path-id set: scenarios that keep the same rows alive share one rank
   // computation, and the same key indexes the cross-call memo — the rank
   // of a surviving set does not depend on which subset it came from, nor
-  // on the scenario range it was encountered in.
-  struct Distinct {
-    std::string key;                 ///< Global path-id key, for the memo.
-    std::vector<std::uint64_t> keep; ///< Subset-position mask, for ranking.
-  };
+  // on the scenario range it was encountered in.  Distinct set d is entry
+  // d of `ids`; its subset-position mask, for ranking, is keep_of(d).
   std::vector<std::uint32_t> mask_id(n, 0);
-  std::vector<Distinct> distinct;
-  std::unordered_map<std::string, std::uint32_t> ids;
-  std::vector<std::uint64_t> keep(mask_words);
-  std::vector<std::uint64_t> key(key_words);
+  MaskTable ids(words_for(system_.path_count()));
+  std::vector<std::uint64_t> keeps;
+  std::vector<std::uint64_t> keep(keep_words);
+  std::vector<std::uint64_t> key(ids.words());
   for (std::size_t s = begin; s < end; ++s) {
     std::fill(keep.begin(), keep.end(), 0);
     std::fill(key.begin(), key.end(), 0);
@@ -282,26 +279,29 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
         key[subset[i] / 64] |= std::uint64_t{1} << (subset[i] % 64);
       }
     }
-    const auto [it, inserted] =
-        ids.emplace(mask_key(key), static_cast<std::uint32_t>(distinct.size()));
-    if (inserted) distinct.push_back({it->first, keep});
-    mask_id[s - begin] = it->second;
+    const auto [id, inserted] = ids.insert(key, mask_hash(key));
+    if (inserted) keeps.insert(keeps.end(), keep.begin(), keep.end());
+    mask_id[s - begin] = static_cast<std::uint32_t>(id);
   }
+  const auto keep_of = [&](std::size_t d) {
+    return std::span<const std::uint64_t>(keeps.data() + d * keep_words,
+                                          keep_words);
+  };
 
   // Consult the memo first, then rank only the misses — integer work on
   // disjoint slots, so the parallel split cannot change any result.  The
   // memo is partitioned by kernel: a mode switch re-derives rather than
   // reading ranks the other kernel produced.
   const KernelMode mode = resolved_kernel_mode();
-  auto& memo = rank_memo_[memo_index(mode)];
-  std::vector<std::size_t> rank_of(distinct.size(), 0);
+  RankMemo& memo = rank_memo_[memo_index(mode)];
+  std::vector<std::size_t> rank_of(ids.size(), 0);
   std::vector<std::size_t> missing;
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
-    for (std::size_t d = 0; d < distinct.size(); ++d) {
-      const auto it = memo.find(distinct[d].key);
-      if (it != memo.end()) {
-        rank_of[d] = it->second;
+    for (std::size_t d = 0; d < ids.size(); ++d) {
+      const std::size_t hit = memo.masks.find(ids.key(d), ids.hash(d));
+      if (hit != MaskTable::npos) {
+        rank_of[d] = memo.ranks[hit];
       } else {
         missing.push_back(d);
       }
@@ -316,7 +316,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
       const std::size_t lanes = std::min<std::size_t>(64, missing.size() - base);
       std::vector<std::uint64_t> alive(subset.size(), 0);
       for (std::size_t j = 0; j < lanes; ++j) {
-        const auto& kp = distinct[missing[base + j]].keep;
+        const auto kp = keep_of(missing[base + j]);
         for (std::size_t i = 0; i < subset.size(); ++i) {
           alive[i] |= ((kp[i / 64] >> (i % 64)) & std::uint64_t{1}) << j;
         }
@@ -352,7 +352,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
         std::min(resolve_threads(threads), missing.size());
     if (workers <= 1) {
       for (std::size_t d : missing) {
-        rank_of[d] = hybrid_rank(system_, subset, sub, distinct[d].keep);
+        rank_of[d] = hybrid_rank(system_, subset, sub, keep_of(d));
       }
     } else {
       std::atomic<std::size_t> next{0};
@@ -361,7 +361,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
           const std::size_t m = next.fetch_add(1, std::memory_order_relaxed);
           if (m >= missing.size()) return;
           const std::size_t d = missing[m];
-          rank_of[d] = hybrid_rank(system_, subset, sub, distinct[d].keep);
+          rank_of[d] = hybrid_rank(system_, subset, sub, keep_of(d));
         }
       };
       std::vector<std::thread> pool;
@@ -374,7 +374,11 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
   if (!missing.empty()) {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
     for (std::size_t d : missing) {
-      memo.emplace(distinct[d].key, rank_of[d]);
+      // Another thread may have ranked the same set meanwhile; the first
+      // entry stands (the ranks agree).
+      if (memo.masks.insert(ids.key(d), ids.hash(d)).second) {
+        memo.ranks.push_back(static_cast<std::uint32_t>(rank_of[d]));
+      }
     }
   }
 
@@ -432,9 +436,8 @@ const ScenarioClasses& KernelErEngine::scenario_classes() const {
   if (!classes_) {
     auto sc = std::make_unique<ScenarioClasses>();
     const std::size_t paths = system_.path_count();
-    const std::size_t path_words = paths == 0 ? 1 : (paths + 63) / 64;
-    std::unordered_map<std::string, std::uint32_t> ids;
-    std::vector<std::uint64_t> mask(path_words);
+    MaskTable ids(words_for(paths));
+    std::vector<std::uint64_t> mask(ids.words());
     const std::vector<double>& w = weights();
     sc->class_of.resize(scenario_count(), 0);
     for (std::size_t s = 0; s < scenario_count(); ++s) {
@@ -445,15 +448,14 @@ const ScenarioClasses& KernelErEngine::scenario_classes() const {
           mask[p / 64] |= std::uint64_t{1} << (p % 64);
         }
       }
-      const auto [it, inserted] = ids.emplace(
-          mask_key(mask), static_cast<std::uint32_t>(sc->masks.size()));
+      const auto [id, inserted] = ids.insert(mask, mask_hash(mask));
       if (inserted) {
         sc->masks.push_back(mask);
         sc->weights.push_back(0.0);
         sc->representative.push_back(s);
       }
-      sc->weights[it->second] += w[s];
-      sc->class_of[s] = it->second;
+      sc->weights[id] += w[s];
+      sc->class_of[s] = static_cast<std::uint32_t>(id);
     }
     classes_ = std::move(sc);
   }
@@ -615,6 +617,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
       LaneGroup all;
       all.mask = lanes == 64 ? ~std::uint64_t{0}
                              : ((std::uint64_t{1} << lanes) - 1);
+      all.words.assign(words_for(system_.path_count()), 0);
       // Root trunk up front: every group descends from this one by
       // splitting, so the whole slice shares one append-only chain and
       // a late-materializing group adopts the prefix its siblings
@@ -627,7 +630,6 @@ class SlicedKernelAccumulator : public ErAccumulator {
     rank_.assign(n, 0);
     saturated_.assign(slices, 0);
     const std::size_t paths = system_.path_count();
-    key_scratch_.assign(paths == 0 ? 1 : (paths + 63) / 64, 0);
     for (std::size_t c = 0; c < n; ++c) {
       if (full_ranks_[c] == 0) {
         saturated_[c / 64] |= std::uint64_t{1} << (c % 64);
@@ -733,17 +735,15 @@ class SlicedKernelAccumulator : public ErAccumulator {
         const std::uint64_t acc = groups_[k][gi].mask & accept;
         if (acc == 0) continue;
         if (acc != groups_[k][gi].mask) {
-          LaneGroup rest;
-          rest.mask = groups_[k][gi].mask & ~acc;
-          rest.added = groups_[k][gi].added;
-          rest.trunk = groups_[k][gi].trunk;
-          rest.brank = groups_[k][gi].brank;
-          rest.fvalid = groups_[k][gi].fvalid;
+          LaneGroup rest = groups_[k][gi];
+          rest.mask &= ~acc;
           groups_[k].push_back(std::move(rest));  // May invalidate refs.
         }
         LaneGroup& grp = groups_[k][gi];
         grp.mask = acc;
         grp.added.push_back(path);
+        grp.hash = mask_hash_with_bit(grp.hash, grp.words, path);
+        grp.words[path / 64] |= std::uint64_t{1} << (path % 64);
       }
       // The float work above never touches the basis, so the scratch
       // remainder of reduce() is still current for install().
@@ -778,10 +778,14 @@ class SlicedKernelAccumulator : public ErAccumulator {
 
   /// Lanes (classes) of one slice whose committed-path histories
   /// coincide; once materialized, the group's float basis is the first
-  /// `brank` rows of `trunk`, reflecting added[0..fvalid).
+  /// `brank` rows of `trunk`, reflecting added[0..fvalid).  `words` is
+  /// the committed set as a path mask and `hash` its mask_hash(), kept
+  /// current by add() so memo_verdict builds no key.
   struct LaneGroup {
     std::uint64_t mask = 0;
     std::vector<std::size_t> added;
+    std::vector<std::uint64_t> words;
+    std::uint64_t hash = 0;
     std::shared_ptr<FloatTrunk> trunk;
     std::size_t fvalid = 0;
     std::size_t brank = 0;
@@ -831,27 +835,37 @@ class SlicedKernelAccumulator : public ErAccumulator {
   /// scalar accumulator's arithmetic — and feed the memo.
   bool memo_verdict(LaneGroup& grp, std::size_t path,
                     linalg::UnitRow row) const {
-    std::fill(key_scratch_.begin(), key_scratch_.end(), 0);
-    for (const std::size_t p : grp.added) {
-      key_scratch_[p / 64] |= std::uint64_t{1} << (p % 64);
-    }
-    key_scratch_[path / 64] |= std::uint64_t{1} << (path % 64);
-    std::string key = mask_key(key_scratch_);
-    auto& memo = engine_.rank_memo_[memo_index(KernelMode::kSliced)];
+    // The key is the group's committed words with the path's bit set in
+    // place for the lookup and restored after; the hash moves in O(1).
+    // (A path the group already committed keeps its words and hash, and
+    // its memoized rank |committed| reads as dependent, as it should.)
+    const std::size_t w = path / 64;
+    const std::uint64_t committed = grp.words[w];
+    const std::uint64_t hash = mask_hash_with_bit(grp.hash, grp.words, path);
+    grp.words[w] |= std::uint64_t{1} << (path % 64);
+    KernelErEngine::RankMemo& memo =
+        engine_.rank_memo_[memo_index(KernelMode::kSliced)];
+    std::size_t rank = 0;
+    bool known = false;
     {
       const std::lock_guard<std::mutex> lock(engine_.memo_mutex_);
-      const auto it = memo.find(key);
-      if (it != memo.end()) return it->second == grp.added.size() + 1;
+      const std::size_t id = memo.masks.find(grp.words, hash);
+      if (id != MaskTable::npos) {
+        known = true;
+        rank = memo.ranks[id];
+      }
     }
-    catch_up(grp);
-    const bool indep =
-        grp.trunk->basis.is_independent_prefix(row, grp.brank);
-    {
+    if (!known) {
+      catch_up(grp);
+      rank = grp.added.size() +
+             (grp.trunk->basis.is_independent_prefix(row, grp.brank) ? 1 : 0);
       const std::lock_guard<std::mutex> lock(engine_.memo_mutex_);
-      memo.emplace(std::move(key),
-                   grp.added.size() + (indep ? 1 : 0));
+      if (memo.masks.insert(grp.words, hash).second) {
+        memo.ranks.push_back(static_cast<std::uint32_t>(rank));
+      }
     }
-    return indep;
+    grp.words[w] = committed;
+    return rank == grp.added.size() + 1;
   }
 
   const KernelErEngine& engine_;
@@ -868,8 +882,6 @@ class SlicedKernelAccumulator : public ErAccumulator {
   std::vector<std::uint64_t> survive_;      ///< [path * slices_ + k].
   /// gain() is logically const but materializes float bases lazily.
   mutable std::vector<std::vector<LaneGroup>> groups_;  ///< Per slice.
-  /// memo_verdict key scratch: one bit per candidate path.
-  mutable std::vector<std::uint64_t> key_scratch_;
   GainMemo memo_;
   double value_ = 0.0;
 };

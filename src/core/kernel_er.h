@@ -60,10 +60,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/expected_rank.h"
+#include "core/mask_table.h"
 #include "linalg/bitrank.h"
 
 namespace rnt::core {
@@ -213,19 +213,23 @@ class KernelErEngine : public ScenarioErEngine {
 
   KernelMode kernel_mode_ = KernelMode::kAuto;
 
-  /// Cross-call rank memo keyed by the surviving path-id set (a bitmask
-  /// over all candidate paths, serialized to bytes).  The rank of a
-  /// surviving row set depends only on which paths survive, so the memo
-  /// is valid across different subsets and calls.  Guarded by a mutex:
-  /// the engine is shared const across service worker threads.
-  ///
-  /// One map per kernel ([0] scalar, [1] sliced): the kernels agree on
+  /// Cross-call rank memo keyed by the surviving path-id set: a bitmask
+  /// over all candidate paths, stored as fixed-width words in a
+  /// MaskTable whose hash the caller supplies.  The rank of a surviving
+  /// row set depends only on which paths survive, so the memo is valid
+  /// across different subsets and calls.  Guarded by a mutex: the engine
+  /// is shared const across service worker threads.
+  struct RankMemo {
+    MaskTable masks;
+    std::vector<std::uint32_t> ranks;  ///< Rank per masks entry id.
+  };
+
+  /// One memo per kernel ([0] scalar, [1] sliced): the kernels agree on
   /// every rank by construction, but partitioning keeps a defect in one
   /// kernel from hiding behind the other's cached answers — an engine
   /// switched between modes re-derives, never cross-reads.
   mutable std::mutex memo_mutex_;
-  mutable std::array<std::unordered_map<std::string, std::size_t>, 2>
-      rank_memo_;
+  mutable std::array<RankMemo, 2> rank_memo_;
 
   /// Lazily built scenario-class structure (heap-allocated so class masks
   /// stay at stable addresses across engine moves).

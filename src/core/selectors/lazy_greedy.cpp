@@ -41,46 +41,63 @@ Selection LazyGreedySelector::select(const tomo::PathSystem& system,
                                      double budget, const ErEngine& engine,
                                      SelectorStats* stats) const {
   const std::vector<double> cost = costs.path_costs(system);
-  Selection single = selector_detail::best_single(
-      system, cost, budget, engine,
-      stats != nullptr ? &stats->gain_evaluations : nullptr);
-
   auto acc = engine.make_accumulator();
   Selection greedy;
   std::uint64_t version = 0;
-
-  const auto refresh = [&](Entry& e) {
-    const double g = acc->gain(e.path);
+  const auto gain_of = [&](std::size_t path) {
     if (stats != nullptr) ++stats->gain_evaluations;
-    e.weight = selector_detail::weight_of(g, cost[e.path]);
-    e.version = version;
+    return acc->gain(path);
+  };
+  // The budget only shrinks as paths commit, so a path that does not fit
+  // now never fits again: it is dropped from the heap unrefreshed.
+  const auto fits = [&](std::size_t path) {
+    return greedy.cost + cost[path] <= budget;
   };
 
+  // One scan on the empty selection seeds the heap and answers line 1 of
+  // Algorithm 1: its gains are ER({q}), exactly what best_single()
+  // computes, so the best single affordable path is picked here with the
+  // same ascending strict-`>` rule.  Unaffordable paths are neither
+  // evaluated nor pushed.
+  Selection single;
+  double single_er = -1.0;
   std::priority_queue<Entry> heap;
   for (std::size_t q = 0; q < system.path_count(); ++q) {
-    Entry e{0.0, q, version};
-    refresh(e);
-    heap.push(e);
+    if (!fits(q)) continue;
+    const double g = gain_of(q);
+    if (g > single_er) {
+      single_er = g;
+      single.paths = {q};
+      single.cost = cost[q];
+      single.objective = g;
+    }
+    heap.push({selector_detail::weight_of(g, cost[q]), q, version});
   }
 
+  const auto refresh = [&](Entry& e) {
+    e.weight = selector_detail::weight_of(gain_of(e.path), cost[e.path]);
+    e.version = version;
+  };
   std::vector<Entry> window;
   while (!heap.empty()) {
     Entry top = heap.top();
     heap.pop();
+    if (!fits(top.path)) continue;
     if (top.version != version) {
       refresh(top);
       heap.push(top);
       continue;
     }
-    // The top is fresh; drain the slack window beneath it, refreshing
-    // any stale entry there — those are the only candidates whose true
-    // weight could still reach the top's.
+    // The top is fresh; drain the slack window beneath it, dropping what
+    // no longer fits and refreshing any stale entry left — those are the
+    // only candidates whose true weight could still reach the top's.
     window.clear();
     bool refreshed_any = false;
     const double floor = top.weight - slack_of(top.weight);
     while (!heap.empty() && heap.top().weight >= floor) {
       Entry f = heap.top();
       heap.pop();
+      if (!fits(f.path)) continue;
       if (f.version != version) {
         refresh(f);
         refreshed_any = true;
@@ -92,18 +109,16 @@ Selection LazyGreedySelector::select(const tomo::PathSystem& system,
       heap.push(top);  // Refreshes may have reordered the window; re-pop.
       continue;
     }
-    // Every other candidate is now either fresh and ordered behind the
-    // top (lower weight, or equal weight at a higher index) or stale
-    // below the noise window, so top.path is exactly the path
-    // rome_eager's full scan would pick.  Algorithm 1: commit if it
-    // fits the budget, drop it either way.
-    if (greedy.cost + cost[top.path] <= budget) {
-      acc->add(top.path);
-      greedy.paths.push_back(top.path);
-      greedy.cost += cost[top.path];
-      ++version;
-      if (stats != nullptr) ++stats->iterations;
-    }
+    // Every other fitting candidate is now either fresh and ordered
+    // behind the top (lower weight, or equal weight at a higher index)
+    // or stale below the noise window, so top.path is exactly the
+    // fitting path rome_eager's full scan would commit next (its scan
+    // drops the unaffordable argmaxes ahead of it one round at a time).
+    acc->add(top.path);
+    greedy.paths.push_back(top.path);
+    greedy.cost += cost[top.path];
+    ++version;
+    if (stats != nullptr) ++stats->iterations;
   }
   greedy.objective = acc->value();
 

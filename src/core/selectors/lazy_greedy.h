@@ -17,6 +17,15 @@
 // an ulp), so the selection sequence, the Selection cost/objective, and
 // the returned floats are bitwise identical to rome_eager's on every
 // engine, at a fraction of the gain evaluations.
+//
+// Two cuts skip work whose outcome is already fixed.  The heap is seeded
+// by one scan of gains on the empty selection, and that scan also picks
+// Algorithm 1's best single path, so no second accumulator recomputes
+// the same ER({q}) values.  And a path that no longer fits the leftover
+// budget is dropped when it is popped, whether as the heap top or from
+// the slack window, without refreshing its gain: the budget only
+// shrinks, so it never fits again, and the argmax among fitting paths —
+// the only paths eager's scan can commit — does not depend on it.
 #pragma once
 
 #include "core/selectors/selector.h"

@@ -2,16 +2,19 @@
 // ScenarioErEngine on evaluate()/evaluate_parallel(), exact per-scenario
 // rank equality, accumulator gain/value agreement, and the gain-memo
 // regression (repeated gains inside lazy-greedy re-heapify must not
-// recompute the basis reduction).
+// recompute the basis reduction), and the shared rank memo under the
+// service's concurrent use of one engine.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
 #include "core/rome.h"
+#include "core/selectors/lazy_greedy.h"
 #include "exp/workload.h"
 #include "util/rng.h"
 
@@ -136,6 +139,69 @@ TEST(KernelAccumulator, RomeSelectsIdenticalPathsUnderBothEngines) {
                                       30.0, *t.kernel, &kernel_stats);
   EXPECT_EQ(with_scenario.paths, with_kernel.paths);
   EXPECT_NEAR(with_scenario.objective, with_kernel.objective, 1e-9);
+}
+
+TEST(KernelErEngine, SharedEngineMatchesSerialFreshEnginesUnderThreads) {
+  // The service shares one engine, and so its rank memo, between two
+  // workers.  Two kernel-rome selects (CELF and rome, different budgets)
+  // and a stream of evaluates run at once on one sliced engine; each
+  // answer must be bitwise the one the same call gets alone on a fresh
+  // engine, on a cold memo and again on the memo the first round left.
+  const Twins t = make_twins(120, 21, 160);
+  const tomo::PathSystem& system = *t.workload.system;
+  const auto fresh = [&] {
+    auto e = std::make_unique<core::KernelErEngine>(
+        system, t.scenario->scenarios(), t.scenario->weights(),
+        t.scenario->name());
+    e->set_kernel_mode(core::KernelMode::kSliced);
+    return e;
+  };
+  const std::vector<double> costs = t.workload.costs.path_costs(system);
+  const double total = std::accumulate(costs.begin(), costs.end(), 0.0);
+  const auto lazy_select = [&](const core::ErEngine& e) {
+    return core::LazyGreedySelector().select(system, t.workload.costs,
+                                             0.5 * total, e);
+  };
+  const auto rome_select = [&](const core::ErEngine& e) {
+    return core::rome(system, t.workload.costs, 0.3 * total, e);
+  };
+  Rng rng(23);
+  std::vector<std::vector<std::size_t>> subsets;
+  for (int i = 0; i < 30; ++i) {
+    subsets.push_back(some_subset(system, rng, 5 + rng.index(60)));
+  }
+  const auto evaluate_all = [&](const core::ErEngine& e) {
+    std::vector<double> values;
+    for (const auto& subset : subsets) values.push_back(e.evaluate(subset));
+    return values;
+  };
+
+  const auto lazy_engine = fresh();
+  const core::Selection lazy_ref = lazy_select(*lazy_engine);
+  // The select alone fills the memo (ambiguous-lane verdicts), so the
+  // threads below really share it.
+  ASSERT_GT(lazy_engine->rank_memo_entries(core::KernelMode::kSliced), 0u);
+  const core::Selection rome_ref = rome_select(*fresh());
+  const std::vector<double> values_ref = evaluate_all(*fresh());
+
+  const auto shared = fresh();
+  for (int round = 0; round < 2; ++round) {
+    core::Selection lazy, romed;
+    std::vector<double> values;
+    std::thread a([&] { lazy = lazy_select(*shared); });
+    std::thread b([&] { romed = rome_select(*shared); });
+    std::thread c([&] { values = evaluate_all(*shared); });
+    a.join();
+    b.join();
+    c.join();
+    EXPECT_EQ(lazy.paths, lazy_ref.paths) << "round " << round;
+    EXPECT_EQ(lazy.objective, lazy_ref.objective);  // Bitwise.
+    EXPECT_EQ(lazy.cost, lazy_ref.cost);
+    EXPECT_EQ(romed.paths, rome_ref.paths) << "round " << round;
+    EXPECT_EQ(romed.objective, rome_ref.objective);
+    EXPECT_EQ(romed.cost, rome_ref.cost);
+    EXPECT_EQ(values, values_ref) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

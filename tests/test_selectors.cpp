@@ -274,6 +274,34 @@ TEST(LazyGreedy, ZeroGainTiesCommitInEagerOrder) {
   EXPECT_EQ(lazy.size(), 6u);  // Everything affordable gets committed.
 }
 
+TEST(LazyGreedy, PathsThatCannotFitAreNeverRefreshed) {
+  // Unit costs and a budget of one: every path fits alone, and none fits
+  // after the first commit.  The one scan on the empty selection seeds
+  // the heap and picks the best single path, and every later pop is
+  // dropped unrefreshed, so CELF makes exactly one gain evaluation per
+  // path and still commits what eager commits.
+  const exp::Workload w = exp::make_custom_workload(20, 40, 48, 5, 5.0);
+  const tomo::CostModel unit = tomo::CostModel::unit();
+  const core::ProbBoundEr prob(*w.system, *w.failures);
+  Rng mc_rng(w.seed * 101);
+  const core::MonteCarloEr monte(*w.system, *w.failures, 50, mc_rng);
+  for (const core::ErEngine* engine :
+       {static_cast<const core::ErEngine*>(&prob),
+        static_cast<const core::ErEngine*>(&monte)}) {
+    core::SelectorStats stats;
+    const core::Selection lazy = core::LazyGreedySelector().select(
+        *w.system, unit, 1.0, *engine, &stats);
+    const core::Selection eager =
+        core::rome_eager(*w.system, unit, 1.0, *engine);
+    EXPECT_EQ(stats.gain_evaluations, w.system->path_count())
+        << engine->name();
+    EXPECT_EQ(lazy.size(), 1u);
+    EXPECT_EQ(lazy.paths, eager.paths);
+    EXPECT_EQ(lazy.objective, eager.objective);  // Bitwise.
+    EXPECT_EQ(lazy.cost, eager.cost);
+  }
+}
+
 TEST(LazyGreedy, WeightFormulaMatchesRome) {
   // The shared cost-benefit ratio: gain / max(cost, 1e-12), free paths
   // effectively infinite.  Any drift here silently breaks bitwise parity
