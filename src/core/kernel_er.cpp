@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "core/gain_memo.h"
 #include "failures/scenario.h"
@@ -195,8 +196,7 @@ KernelErEngine::KernelErEngine(KernelErEngine&& other) noexcept
       failed_bits_(std::move(other.failed_bits_)),
       kernel_mode_(other.kernel_mode_),
       rank_memo_(std::move(other.rank_memo_)),
-      classes_(std::move(other.classes_)),
-      class_full_ranks_(std::move(other.class_full_ranks_)) {}
+      classes_(std::move(other.classes_)) {}
 
 KernelMode KernelErEngine::resolved_kernel_mode() const {
   if (kernel_mode_ != KernelMode::kAuto) return kernel_mode_;
@@ -462,35 +462,6 @@ const ScenarioClasses& KernelErEngine::scenario_classes() const {
   return *classes_;
 }
 
-const std::vector<std::size_t>& KernelErEngine::class_full_ranks() const {
-  const ScenarioClasses& sc = scenario_classes();  // Outside our lock.
-  const std::lock_guard<std::mutex> lock(full_ranks_mutex_);
-  if (!class_full_ranks_) {
-    // One sliced float-fallback sweep over all candidate paths, classes
-    // in the instance lanes: alive[p * stride + k] bit j = "path p
-    // survives class k*64+j".  The float tier walks the same
-    // IncrementalBasis arithmetic as the scenario engine, so these
-    // ceilings are the ranks its trajectories converge to.
-    const std::size_t n = sc.count();
-    const std::size_t paths = system_.path_count();
-    const std::size_t stride = n == 0 ? 1 : (n + 63) / 64;
-    std::vector<std::uint64_t> alive(paths * stride, 0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto& mask = sc.masks[c];
-      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-      const std::size_t word = c / 64;
-      for (std::size_t p = 0; p < paths; ++p) {
-        if (((mask[p / 64] >> (p % 64)) & 1u) != 0) {
-          alive[p * stride + word] |= bit;
-        }
-      }
-    }
-    class_full_ranks_ = std::make_unique<std::vector<std::size_t>>(
-        linalg::sliced_ranks(path_bits_, alive, n));
-  }
-  return *class_full_ranks_;
-}
-
 // ---------------------------------------------------------------------------
 // Accumulator
 // ---------------------------------------------------------------------------
@@ -589,13 +560,14 @@ class KernelAccumulator : public ErAccumulator {
 /// append instead of re-reducing it.  The sharing changes nothing
 /// observable; it only deduplicates arithmetic the scalar path repeats.
 ///
-/// A second sliced-only certificate closes the dependent side: the
-/// engine caches each class's full-candidate rank ceiling, and a class
-/// whose committed rank reached it can never accept again — dependence
-/// is a property of the committed set and the row, so masking the class
-/// out skips exactly the verdicts that would have come back
-/// "dependent".  This is where the scalar path spends most of its late
-/// sweep: re-proving dependence on saturated classes.
+/// The dependent side is remembered instead of re-proved: once a path
+/// lies in the span of a class's committed rows it stays there as the
+/// selection grows (rank is submodular), so a lane whose float or memo
+/// verdict came back "dependent", and every lane a committed path
+/// survives in, is masked out of that path's later gain() and add()
+/// calls.  The skipped verdicts are the ones the float tier would have
+/// returned, so nothing observable changes.  This is where the scalar
+/// path spends most of its late sweep: re-proving dependence.
 ///
 /// Gains and value() sum class weights in ascending class order — the
 /// scalar accumulator's order — so the float sums are bitwise identical.
@@ -605,7 +577,6 @@ class SlicedKernelAccumulator : public ErAccumulator {
       : engine_(engine),
         system_(engine.system_),
         classes_info_(engine.scenario_classes()),
-        full_ranks_(engine.class_full_ranks()),
         memo_(engine.system_.path_count()) {
     const std::size_t n = classes_info_.count();
     const std::size_t slices = (n + 63) / 64;
@@ -627,25 +598,18 @@ class SlicedKernelAccumulator : public ErAccumulator {
     }
     synced2_.assign(slices, ~std::uint64_t{0});
     synced3_.assign(slices, ~std::uint64_t{0});
-    rank_.assign(n, 0);
-    saturated_.assign(slices, 0);
     const std::size_t paths = system_.path_count();
-    for (std::size_t c = 0; c < n; ++c) {
-      if (full_ranks_[c] == 0) {
-        saturated_[c / 64] |= std::uint64_t{1} << (c % 64);
-      }
-    }
-    // Transpose the class survive masks once: survive_[path * slices + k]
-    // has bit j = "path survives class k*64+j", so the per-query gather
-    // is a single load instead of 64 mask probes.
-    survive_.assign(paths * slices, 0);
+    // Transpose the class survive masks once: open_[path * slices + k]
+    // starts with bit j = "path survives class k*64+j", so the per-query
+    // gather is a single load instead of 64 mask probes.
+    open_.assign(paths * slices, 0);
     for (std::size_t c = 0; c < n; ++c) {
       const auto& mask = classes_info_.masks[c];
       const std::uint64_t bit = std::uint64_t{1} << (c % 64);
       const std::size_t k = c / 64;
       for (std::size_t p = 0; p < paths; ++p) {
         if (((mask[p / 64] >> (p % 64)) & 1u) != 0) {
-          survive_[p * slices + k] |= bit;
+          open_[p * slices + k] |= bit;
         }
       }
     }
@@ -660,12 +624,10 @@ class SlicedKernelAccumulator : public ErAccumulator {
       double g = 0.0;
       for (std::size_t k = 0; k * 64 < n; ++k) {
         const std::size_t base = k * 64;
-        // A saturated class — committed rank at its full-candidate
-        // ceiling — rejects every row: dependence is a property of the
-        // committed set and the row alone, so the float verdict this
-        // mask skips could only ever say "dependent".
-        const std::uint64_t survive =
-            survive_word(path, base) & ~saturated_[k];
+        // Lanes already known dependent are out of open_: their verdict
+        // could only ever say "dependent" again.
+        std::uint64_t& open = open_[path * slices_ + k];
+        const std::uint64_t survive = open;
         if (survive == 0) continue;
         // GF(2) first; the ~14x costlier GF(3) pass only runs for lanes
         // GF(2) left unresolved.  certified is identical to the joint
@@ -684,6 +646,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
             if (sub == 0) continue;
             if (memo_verdict(grp, path, row)) indep |= sub;
           }
+          open &= ~(ambiguous & ~indep);
         }
         for (std::uint64_t m = survive; m != 0; m &= m - 1) {
           const std::size_t j = std::countr_zero(m);
@@ -700,10 +663,9 @@ class SlicedKernelAccumulator : public ErAccumulator {
     const std::size_t n = classes_info_.count();
     for (std::size_t k = 0; k * 64 < n; ++k) {
       const std::size_t base = k * 64;
-      // Saturated classes reject every row (see gain()); their stale GF
-      // and group state is never consulted again.
-      const std::uint64_t survive =
-          survive_word(path, base) & ~saturated_[k];
+      // Known-dependent lanes reject the row (see gain()).  Once
+      // committed, the path is dependent in every lane it survives in.
+      const std::uint64_t survive = std::exchange(open_[path * slices_ + k], 0);
       if (survive == 0) continue;
       // Joint reduce: install() below needs both remainders in scratch.
       const auto red = bases_[k].reduce(bits, survive & synced2_[k],
@@ -723,9 +685,6 @@ class SlicedKernelAccumulator : public ErAccumulator {
       for (std::uint64_t m = accept; m != 0; m &= m - 1) {
         const std::size_t j = std::countr_zero(m);
         value_ += classes_info_.weights[base + j];
-        if (++rank_[base + j] == full_ranks_[base + j]) {
-          saturated_[k] |= std::uint64_t{1} << j;
-        }
       }
       // Split groups on the accept boundary: accepted lanes extend their
       // history with this path, the rest keep the old one.  Both halves
@@ -790,11 +749,6 @@ class SlicedKernelAccumulator : public ErAccumulator {
     std::size_t fvalid = 0;
     std::size_t brank = 0;
   };
-
-  /// Bit j = does `path` survive class base + j (precomputed transpose).
-  std::uint64_t survive_word(std::size_t path, std::size_t base) const {
-    return survive_[path * slices_ + base / 64];
-  }
 
   /// Materializes/advances the group's float basis to its full committed
   /// history — the same rows, in the same order, through the same
@@ -871,16 +825,15 @@ class SlicedKernelAccumulator : public ErAccumulator {
   const KernelErEngine& engine_;
   const tomo::PathSystem& system_;
   const ScenarioClasses& classes_info_;
-  /// Per-class full-candidate rank ceilings (engine-cached).
-  const std::vector<std::size_t>& full_ranks_;
   std::vector<linalg::SlicedBasis> bases_;  ///< One per 64-class slice.
   std::vector<std::uint64_t> synced2_;      ///< Per-slice GF(2) sync bits.
   std::vector<std::uint64_t> synced3_;      ///< Per-slice GF(3) sync bits.
-  std::vector<std::size_t> rank_;           ///< Committed rank per class.
-  std::vector<std::uint64_t> saturated_;    ///< Per-slice rank==ceiling bits.
   std::size_t slices_ = 0;
-  std::vector<std::uint64_t> survive_;      ///< [path * slices_ + k].
-  /// gain() is logically const but materializes float bases lazily.
+  /// [path * slices_ + k] bit j: path survives class k*64+j and is not yet
+  /// known dependent on its committed rows there.  Only ever cleared.
+  /// gain() is logically const but clears verdicts it learns, and
+  /// materializes float bases lazily.
+  mutable std::vector<std::uint64_t> open_;
   mutable std::vector<std::vector<LaneGroup>> groups_;  ///< Per slice.
   GainMemo memo_;
   double value_ = 0.0;

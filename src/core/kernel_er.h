@@ -33,7 +33,11 @@
 // with an incremental GF(2) basis while it is exact — falling back to the
 // floating-point basis only on the rare GF(2)-ambiguous row (see
 // linalg/bitrank.h for why GF(2)-independence certifies rational
-// independence exactly while the basis stays "synced").
+// independence exactly while the basis stays "synced").  The sliced
+// accumulator also remembers, per (path, 64-class slice), the lanes where
+// the path is already known dependent — a "dependent" float or memo
+// verdict, or the path's own commit — and never asks about them again:
+// a path in the span of the committed rows stays there as they grow.
 //
 // Cluster entry points.  The engine also exposes the integer halves of
 // its computation so a coordinator can shard work across processes while
@@ -199,15 +203,6 @@ class KernelErEngine : public ScenarioErEngine {
       const std::vector<std::size_t>& subset, std::size_t threads,
       std::size_t begin, std::size_t end) const;
 
-  /// Per-class rank of the FULL candidate path set — the ceiling any
-  /// accumulator's per-class rank can reach.  The sliced accumulator
-  /// turns it into a saturation certificate: a class whose committed
-  /// rank hit its ceiling rejects every later row, with no elimination
-  /// work at all.  Built once per engine (mutex-guarded) by the sliced
-  /// float-fallback sweep, whose trajectory ranks match the scenario
-  /// engine's float arithmetic.
-  const std::vector<std::size_t>& class_full_ranks() const;
-
   linalg::BitRows path_bits_;    ///< All candidate paths, packed by link.
   linalg::BitRows failed_bits_;  ///< All scenarios' failed links, packed.
 
@@ -235,10 +230,6 @@ class KernelErEngine : public ScenarioErEngine {
   /// stay at stable addresses across engine moves).
   mutable std::mutex classes_mutex_;
   mutable std::unique_ptr<ScenarioClasses> classes_;
-
-  /// Lazily built class_full_ranks() result (same stability rationale).
-  mutable std::mutex full_ranks_mutex_;
-  mutable std::unique_ptr<std::vector<std::size_t>> class_full_ranks_;
 };
 
 /// A KernelAccumulator restricted to the scenario slice [begin, end):

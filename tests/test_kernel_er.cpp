@@ -141,6 +141,119 @@ TEST(KernelAccumulator, RomeSelectsIdenticalPathsUnderBothEngines) {
   EXPECT_NEAR(with_scenario.objective, with_kernel.objective, 1e-9);
 }
 
+/// Replays `trajectory` on the scalar engine's accumulator, then twice on
+/// the sliced engine's (on a cold rank memo, then on the memo the first
+/// pass left): before every add, the gain of each of the first `paths`
+/// paths must be the scalar one bit for bit, and so must value() after
+/// it.  Returns the scalar value after each add.
+std::vector<double> expect_sliced_matches_scalar(
+    const core::KernelErEngine& sliced, const core::KernelErEngine& scalar,
+    const std::vector<std::size_t>& trajectory, std::size_t paths) {
+  std::vector<std::vector<double>> gains;  // Scalar gains before each add.
+  std::vector<double> values;              // Scalar value after each add.
+  auto scalar_acc = scalar.make_accumulator();
+  for (const std::size_t path : trajectory) {
+    std::vector<double> g(paths);
+    for (std::size_t q = 0; q < paths; ++q) g[q] = scalar_acc->gain(q);
+    gains.push_back(std::move(g));
+    scalar_acc->add(path);
+    values.push_back(scalar_acc->value());
+  }
+  for (const char* memo : {"cold", "warm"}) {
+    auto acc = sliced.make_accumulator();
+    for (std::size_t i = 0; i < trajectory.size(); ++i) {
+      for (std::size_t q = 0; q < paths; ++q) {
+        EXPECT_EQ(acc->gain(q), gains[i][q])
+            << memo << " memo: gain(" << q << ") before add " << i;
+      }
+      acc->add(trajectory[i]);
+      EXPECT_EQ(acc->value(), values[i]) << memo << " memo: add " << i;
+      if (::testing::Test::HasFailure()) return values;
+    }
+    for (std::size_t q = 0; q < paths; ++q) {
+      EXPECT_EQ(acc->gain(q), scalar_acc->gain(q)) << memo << " memo: " << q;
+    }
+  }
+  return values;
+}
+
+// A shape where classes really saturate: AS1755 at 400 candidate paths,
+// failure intensity 5 and the service's MC-50 mixture.  A full-budget RoMe
+// trajectory commits every path and brings every class to its
+// full-candidate rank early, so most later lanes are ones the sliced
+// accumulator already knows to be dependent and skips.
+TEST(KernelAccumulator, SlicedMatchesScalarBitwiseThroughSaturation) {
+  exp::WorkloadSpec spec;
+  spec.topology = graph::IspTopology::kAS1755;
+  spec.candidate_paths = 400;
+  spec.failure_intensity = 5.0;
+  spec.seed = 3;
+  const exp::Workload w = exp::make_workload(spec);
+  const tomo::PathSystem& system = *w.system;
+  const auto make = [&](core::KernelMode mode) {
+    Rng rng(w.seed * 101);  // The service's kernel-rome seeding.
+    auto e = std::make_unique<core::KernelErEngine>(
+        core::KernelErEngine::monte_carlo(system, *w.failures, 50, rng));
+    e->set_kernel_mode(mode);
+    return e;
+  };
+  const auto sliced = make(core::KernelMode::kSliced);
+  const auto scalar = make(core::KernelMode::kScalar);
+
+  std::vector<std::size_t> all(system.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const std::vector<double> costs = w.costs.path_costs(system);
+  const double total = std::accumulate(costs.begin(), costs.end(), 0.0);
+  // From the scalar engine, so the sliced engine's memo is still cold.
+  const std::vector<std::size_t> trajectory =
+      core::rome(system, w.costs, total, *scalar).paths;
+  ASSERT_EQ(trajectory.size(), all.size());
+
+  const std::vector<double> values =
+      expect_sliced_matches_scalar(*sliced, *scalar, trajectory, all.size());
+  ASSERT_FALSE(HasFailure());
+  // Every class reached its full rank well before the end: the prefix up
+  // to the last value change keeps the rank all candidates keep, in every
+  // scenario.
+  std::size_t full = 0;
+  while (values[full] != values.back()) ++full;
+  EXPECT_LT(2 * (full + 1), trajectory.size());
+  const std::vector<std::size_t> prefix(trajectory.begin(),
+                                        trajectory.begin() + full + 1);
+  EXPECT_EQ(scalar->scenario_ranks(prefix), scalar->scenario_ranks(all));
+}
+
+// The one place a remembered verdict can be wrong to remember: an
+// ambiguous lane whose float verdict is "independent".  Links 0-2 carry
+// the rows 110, 011, 101 (determinant 2: the third is GF(2)-dependent but
+// independent), links 3-6 the rows of J - I (determinant -3: the fourth
+// is GF(3)-dependent but independent), so after seven commits the class
+// is desynced in both fields and every query goes to the float tier.
+// Path 7 (link 7) is then independent there; it must stay so after path 8
+// (link 8) commits.
+TEST(KernelAccumulator, SlicedForgetsNoIndependentFloatVerdict) {
+  const std::vector<std::vector<graph::EdgeId>> rows = {
+      {0, 1},    {1, 2},    {0, 2},    {4, 5, 6}, {3, 5, 6},
+      {3, 4, 6}, {3, 4, 5}, {7},       {8}};
+  std::vector<tomo::ProbePath> paths(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    paths[i].links = rows[i];
+    paths[i].hops = rows[i].size();
+  }
+  const tomo::PathSystem system(9, paths);
+  // No failure, and link 0 down: two classes.
+  std::vector<failures::FailureVector> scenarios(2,
+                                                 failures::FailureVector(9));
+  scenarios[1][0] = true;
+  const std::vector<double> weights = {0.75, 0.25};
+  core::KernelErEngine sliced(system, scenarios, weights, "two");
+  sliced.set_kernel_mode(core::KernelMode::kSliced);
+  core::KernelErEngine scalar(system, scenarios, weights, "two");
+  scalar.set_kernel_mode(core::KernelMode::kScalar);
+  expect_sliced_matches_scalar(sliced, scalar, {0, 1, 2, 3, 4, 5, 6, 8, 7},
+                               paths.size());
+}
+
 TEST(KernelErEngine, SharedEngineMatchesSerialFreshEnginesUnderThreads) {
   // The service shares one engine, and so its rank memo, between two
   // workers.  Two kernel-rome selects (CELF and rome, different budgets)

@@ -270,8 +270,8 @@ TEST(SlicedKernel, DuplicateScenariosDedupBitwise) {
 }
 
 // The accumulator under the sliced kernel is bitwise the scalar one over
-// a full greedy trajectory, including after the per-class saturation
-// certificate starts masking lanes out.
+// a full greedy trajectory, including once known-dependent lanes (a
+// "dependent" verdict, or the path's own commit) are masked out.
 TEST(SlicedKernel, AccumulatorBitwiseScalarTrajectory) {
   Engines e = make_engines(96, 17);
   e.engine->set_kernel_mode(core::KernelMode::kSliced);
