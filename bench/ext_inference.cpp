@@ -28,12 +28,17 @@
 // conditional MSE is lower as well.
 //
 // With --json the ratios land in BENCH_INFER.json; CI gates them against
-// bench/baselines/BENCH_INFER.json via tools/bench_compare.  The ratios
-// are statistical, not wall-clock, so they are machine-independent and
-// exactly reproducible from the seed.  ext_estimation reports the same
+// bench/baselines/BENCH_INFER.json via tools/bench_compare.  The quality
+// ratios are statistical, not wall-clock, so they are machine-independent
+// and exactly reproducible from the seed.  One ratio is a speed ratio:
+// cgls_lanes_over_single times the rome campaign's CGLS solves in lane
+// groups against one call per scenario, in the same process.  ext_estimation reports the same
 // pipeline's budget sweep for one family; the two drivers share their
 // scaffolding through bench_common.h.
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -44,6 +49,54 @@
 
 namespace rnt::bench {
 namespace {
+
+/// The same campaign's CGLS solves two ways, inputs prepared untimed: in
+/// lane groups of infer::kLaneGroup over the subset's covered system (what
+/// run_inference does), and one one-lane call per scenario over its own
+/// surviving rows.  Both sides return bitwise-identical solutions.
+std::pair<LatencySample, LatencySample> measure_lane_solves(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const infer::ScenarioSampler& sampler, const infer::GroundTruth& truth,
+    const infer::InferenceConfig& config, std::uint64_t seed) {
+  Rng scenario_rng(infer::derive_seed(seed, infer::kScenarioSalt));
+  std::vector<infer::Observations> observations;
+  std::vector<tomo::CoveredSystem> own;
+  std::vector<linalg::RowSpace> spaces;
+  for (std::size_t s = 0; s < config.scenarios; ++s) {
+    const failures::FailureVector v = sampler(scenario_rng);
+    Rng noise_rng(infer::derive_seed(seed, infer::kNoiseSalt + s));
+    observations.push_back(infer::synthesize_observations(
+        system, subset, truth, v, config.noise_std, noise_rng));
+    own.push_back(tomo::covered_system(system, observations.back().rows));
+    spaces.push_back(tomo::row_space(own.back()));
+  }
+  const tomo::CoveredSystem covered = tomo::covered_system(system, subset);
+  std::vector<const linalg::RowSpace*> space_ptrs;
+  for (const linalg::RowSpace& space : spaces) space_ptrs.push_back(&space);
+  const std::span<const infer::Observations> all(observations);
+  const std::span<const linalg::RowSpace* const> all_spaces(space_ptrs);
+
+  const LatencySample lanes = measure(
+      [&] {
+        for (std::size_t b = 0; b < all.size(); b += infer::kLaneGroup) {
+          const std::size_t n = std::min(infer::kLaneGroup, all.size() - b);
+          (void)infer::solve_lanes(covered, subset, all.subspan(b, n),
+                                   all_spaces.subspan(b, n), config.model,
+                                   config.solve);
+        }
+      },
+      /*min_iterations=*/5, /*min_seconds=*/0.3);
+  const LatencySample single = measure(
+      [&] {
+        for (std::size_t s = 0; s < all.size(); ++s) {
+          (void)infer::solve_lanes(own[s], all[s].rows, all.subspan(s, 1),
+                                   all_spaces.subspan(s, 1), config.model,
+                                   config.solve);
+        }
+      },
+      /*min_iterations=*/5, /*min_seconds=*/0.3);
+  return {lanes, single};
+}
 
 int main_body(Flags& flags) {
   const CommonOptions opts = parse_common(flags);
@@ -152,6 +205,12 @@ int main_body(Flags& flags) {
         },
         /*min_iterations=*/3, /*min_seconds=*/0.2);
     report.add_metric("rome_campaign", campaign);
+    const auto [lanes, single] =
+        measure_lane_solves(*w.system, rome_sel.paths, independent_sampler,
+                            truth, config, opts.seed);
+    report.add_metric("cgls_lane_groups", lanes);
+    report.add_metric("cgls_one_per_scenario", single);
+    report.add_ratio("cgls_lanes_over_single", single.p50_us / lanes.p50_us);
     report.write(json_path);
     if (!opts.csv) std::cout << "\nwrote " << json_path << "\n";
   }

@@ -21,12 +21,10 @@ GroundTruth campaign_truth(MeasurementModel model, std::size_t links,
   return draw_ground_truth(model, links, rng, options);
 }
 
-InferenceReport run_inference(const tomo::PathSystem& system,
-                              const std::vector<std::size_t>& subset,
-                              const ScenarioSampler& sampler,
-                              const GroundTruth& truth,
-                              const InferenceConfig& config,
-                              std::uint64_t seed) {
+std::vector<ScenarioSolution> solve_scenarios(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const ScenarioSampler& sampler, const GroundTruth& truth,
+    const InferenceConfig& config, std::uint64_t seed) {
   // Scenario draws happen serially up front: the sampler sees one stream
   // in scenario order no matter how many solver threads run below.
   Rng scenario_rng(derive_seed(seed, kScenarioSalt));
@@ -36,9 +34,9 @@ InferenceReport run_inference(const tomo::PathSystem& system,
     scenarios.push_back(sampler(scenario_rng));
   }
 
-  // Scenarios that leave the same rows share one restricted system
-  // (rank, identifiable set, covered-link operator); classes are interned
-  // here, in scenario order, so the work below is schedule-independent.
+  // Scenarios that leave the same rows share one row space (rank and
+  // identifiable set); classes are interned here, in scenario order, so
+  // the work below is schedule-independent.
   tomo::RowClasses classes;
   std::vector<std::size_t> class_of;
   class_of.reserve(scenarios.size());
@@ -69,28 +67,54 @@ InferenceReport run_inference(const tomo::PathSystem& system,
     for (std::thread& worker : pool) worker.join();
   };
 
-  std::vector<RestrictedSystem> restricted(classes.size());
+  std::vector<linalg::RowSpace> spaces(classes.size());
   parallel_for(classes.size(), [&](std::size_t c) {
-    restricted[c] = restrict_system(system, classes.rows(c));
+    spaces[c] = tomo::row_space_of(system, classes.rows(c));
   });
 
+  // Every scenario is one lane of a CGLS run over the subset's covered
+  // system; a group is a fixed range of scenario indices, so neither the
+  // thread count nor the schedule changes any lane's arithmetic.
+  const tomo::CoveredSystem covered = tomo::covered_system(system, subset);
+  std::vector<ScenarioSolution> solutions(scenarios.size());
+  const std::size_t groups = (scenarios.size() + kLaneGroup - 1) / kLaneGroup;
+  parallel_for(groups, [&](std::size_t g) {
+    const std::size_t begin = g * kLaneGroup;
+    const std::size_t end = std::min(scenarios.size(), begin + kLaneGroup);
+    std::vector<Observations> observations;
+    std::vector<const linalg::RowSpace*> group_spaces;
+    observations.reserve(end - begin);
+    group_spaces.reserve(end - begin);
+    for (std::size_t s = begin; s < end; ++s) {
+      // The noise stream is keyed by scenario index, not by thread or
+      // completion order, so every schedule synthesizes identical bytes.
+      Rng noise_rng(derive_seed(seed, kNoiseSalt + s));
+      observations.push_back(synthesize_observations(
+          system, subset, truth, scenarios[s], config.noise_std, noise_rng));
+      group_spaces.push_back(&spaces[class_of[s]]);
+    }
+    std::vector<ScenarioSolution> group =
+        solve_lanes(covered, subset, observations, group_spaces, config.model,
+                    config.solve);
+    std::move(group.begin(), group.end(), solutions.begin() + begin);
+  });
+  return solutions;
+}
+
+InferenceReport run_inference(const tomo::PathSystem& system,
+                              const std::vector<std::size_t>& subset,
+                              const ScenarioSampler& sampler,
+                              const GroundTruth& truth,
+                              const InferenceConfig& config,
+                              std::uint64_t seed) {
   const double fallback = prior_estimate(config.model, config.truth);
-  std::vector<ScenarioScore> scores(scenarios.size());
-  parallel_for(scenarios.size(), [&](std::size_t s) {
-    // The noise stream is keyed by scenario index, not by thread or
-    // completion order, so every schedule synthesizes identical bytes.
-    Rng noise_rng(derive_seed(seed, kNoiseSalt + s));
-    const Observations obs = synthesize_observations(
-        system, subset, truth, scenarios[s], config.noise_std, noise_rng);
-    const ScenarioSolution solution = solve_restricted(
-        restricted[class_of[s]], obs, config.model, config.solve);
-    scores[s] = score_scenario(solution, truth, fallback);
-  });
-
   // Fixed-order reduction: the float accumulation tree depends only on
   // scenario index, making the report bitwise thread-count independent.
   InferenceReport report;
-  for (const ScenarioScore& score : scores) report.add(score);
+  for (const ScenarioSolution& solution :
+       solve_scenarios(system, subset, sampler, truth, config, seed)) {
+    report.add(score_scenario(solution, truth, fallback));
+  }
   return report;
 }
 

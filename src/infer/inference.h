@@ -5,8 +5,10 @@
 // probe subset, solves the restricted least-squares system, and scores
 // the estimate against ground truth; scores aggregate into an
 // InferenceReport.  Scenarios that leave the same surviving rows share one
-// RestrictedSystem (rank, identifiable set, covered-link operator), built
-// once per call; only CGLS runs per scenario.
+// row space (rank and identifiable set), built once per call.  The solves
+// run in fixed groups of kLaneGroup consecutive scenarios, each group one
+// lane-major CGLS pass over the subset's covered system (solver.h), in
+// which every scenario is bit for bit its own one-lane solve.
 //
 // Determinism contract: everything derives from one 64-bit seed.
 // Scenarios are sampled up front on the calling thread, per-scenario
@@ -32,6 +34,13 @@ namespace rnt::infer {
 /// one thread, so stateful samplers stay deterministic).
 using ScenarioSampler = std::function<failures::FailureVector(Rng&)>;
 
+/// Scenarios per lane-major CGLS pass.  A constant, not a knob: groups are
+/// fixed ranges of scenario indices whatever the thread count.  A group's
+/// lane buffers (six [row or link][lane] blocks of 32 doubles) take 768
+/// bytes per subset row and covered link: about 180 KB for a 100-path
+/// subset on AS1239 (140 covered links).
+inline constexpr std::size_t kLaneGroup = 32;
+
 struct InferenceConfig {
   MeasurementModel model = MeasurementModel::kDelay;
   double noise_std = 0.05;       ///< Additive-domain probe noise sigma.
@@ -55,6 +64,13 @@ inline constexpr std::uint64_t kNoiseSalt = 0x6e6f697365ULL;     // "noise"
 /// once per (model, seed) pair makes selections comparable).
 GroundTruth campaign_truth(MeasurementModel model, std::size_t links,
                            std::uint64_t seed, const TruthOptions& options = {});
+
+/// The measure-and-solve stage of run_inference: every scenario's
+/// solution, in scenario order.
+std::vector<ScenarioSolution> solve_scenarios(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const ScenarioSampler& sampler, const GroundTruth& truth,
+    const InferenceConfig& config, std::uint64_t seed);
 
 /// Runs the full loop over `config.scenarios` draws from `sampler`.
 InferenceReport run_inference(const tomo::PathSystem& system,

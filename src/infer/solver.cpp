@@ -4,58 +4,71 @@
 
 namespace rnt::infer {
 
-RestrictedSystem restrict_system(const tomo::PathSystem& system,
-                                 const std::vector<std::size_t>& rows) {
-  RestrictedSystem out;
-  out.rows = rows;
-  out.covered = tomo::covered_system(system, rows);
-  out.space = tomo::row_space(out.covered);
-  return out;
-}
+std::vector<ScenarioSolution> solve_lanes(
+    const tomo::CoveredSystem& covered, const std::vector<std::size_t>& subset,
+    std::span<const Observations> observations,
+    std::span<const linalg::RowSpace* const> spaces, MeasurementModel model,
+    const SolveOptions& options) {
+  const std::size_t lanes = observations.size();
+  if (spaces.size() != lanes) {
+    throw std::invalid_argument("solve_lanes: one row space per scenario");
+  }
+  if (covered.matrix.rows() != subset.size()) {
+    throw std::invalid_argument("solve_lanes: covered system is not the subset's");
+  }
+  // Lane-major right-hand sides: a surviving path is the next observed row,
+  // so one walk down the subset places every observation.
+  std::vector<double> values(subset.size() * lanes, 0.0);
+  std::vector<double> mask(subset.size() * lanes, 0.0);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const Observations& obs = observations[l];
+    if (obs.rows.size() != obs.values.size()) {
+      throw std::invalid_argument("solve_lanes: rows/values size mismatch");
+    }
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      if (next < obs.rows.size() && obs.rows[next] == subset[i]) {
+        values[i * lanes + l] = obs.values[next++];
+        mask[i * lanes + l] = 1.0;
+      }
+    }
+    if (next != obs.rows.size()) {
+      throw std::invalid_argument(
+          "solve_lanes: observations are not on the subset's rows");
+    }
+  }
 
-ScenarioSolution solve_restricted(const RestrictedSystem& restricted,
-                                  const Observations& observations,
-                                  MeasurementModel model,
-                                  const SolveOptions& options) {
-  if (observations.rows.size() != observations.values.size()) {
-    throw std::invalid_argument("solve_scenario: rows/values size mismatch");
+  std::vector<linalg::CglsResult> cgls =
+      tomo::least_squares_lanes(covered, values, mask, lanes, options.cgls);
+  std::vector<ScenarioSolution> solutions(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ScenarioSolution& solution = solutions[l];
+    solution.surviving_rows = observations[l].rows.size();
+    solution.rank = spaces[l]->rank;
+    solution.identifiable = spaces[l]->identifiable;
+    solution.additive = std::move(cgls[l].x);
+    solution.iterations = cgls[l].iterations;
+    solution.residual_norm = cgls[l].residual_norm;
+    solution.converged = cgls[l].converged;
+    solution.natural.resize(solution.additive.size());
+    for (std::size_t j = 0; j < solution.additive.size(); ++j) {
+      solution.natural[j] = to_natural(model, solution.additive[j]);
+    }
   }
-  if (observations.rows != restricted.rows) {
-    throw std::invalid_argument(
-        "solve_restricted: observations are not on the restricted rows");
-  }
-  const std::size_t links = restricted.covered.link_count;
-  ScenarioSolution solution;
-  solution.surviving_rows = observations.rows.size();
-  if (observations.rows.empty()) {
-    // Nothing survived: nothing identifiable, converged trivially.
-    solution.additive.assign(links, 0.0);
-    solution.natural.assign(links, to_natural(model, 0.0));
-    solution.converged = true;
-    return solution;
-  }
-
-  solution.rank = restricted.space.rank;
-  solution.identifiable = restricted.space.identifiable;
-  linalg::CglsResult cgls = tomo::least_squares(
-      restricted.covered, observations.values, options.cgls);
-  solution.additive = std::move(cgls.x);
-  solution.iterations = cgls.iterations;
-  solution.residual_norm = cgls.residual_norm;
-  solution.converged = cgls.converged;
-  solution.natural.resize(links);
-  for (std::size_t l = 0; l < links; ++l) {
-    solution.natural[l] = to_natural(model, solution.additive[l]);
-  }
-  return solution;
+  return solutions;
 }
 
 ScenarioSolution solve_scenario(const tomo::PathSystem& system,
                                 const Observations& observations,
                                 MeasurementModel model,
                                 const SolveOptions& options) {
-  return solve_restricted(restrict_system(system, observations.rows),
-                          observations, model, options);
+  const tomo::CoveredSystem covered =
+      tomo::covered_system(system, observations.rows);
+  const linalg::RowSpace space = tomo::row_space(covered);
+  const linalg::RowSpace* spaces[] = {&space};
+  return std::move(solve_lanes(covered, observations.rows, {&observations, 1},
+                               spaces, model, options)
+                       .front());
 }
 
 }  // namespace rnt::infer

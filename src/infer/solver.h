@@ -1,5 +1,5 @@
-// Per-scenario tomography solver: restrict A to the surviving rows, solve
-// the least-squares system with CGLS, and detect the identifiable link
+// Per-scenario tomography solver: keep A's surviving rows, solve the
+// least-squares system with CGLS, and report the identifiable link
 // subspace.
 //
 // The surviving system is usually rank-deficient (failures remove rows)
@@ -12,18 +12,22 @@
 // estimator of interest; entries outside the identifiable set are
 // min-norm artifacts and are reported but not scored.
 //
-// The restricted system depends only on which rows survived, not on the
-// observed values, so it is built once per surviving row list
-// (RestrictedSystem) and shared by every scenario with that list; only
-// CGLS runs per scenario.  Both run on the links the rows cover
-// (tomo::CoveredSystem), which is bitwise the full-width computation.
+// Scenarios drawn on one probe subset share its covered system
+// (tomo::covered_system(system, subset)): solve_lanes runs each one as a
+// lane of a single CGLS pass whose failed rows are masked, and every lane
+// is bit for bit the one-lane solve of its own surviving rows
+// (linalg/cgls.h says why).  The rank and identifiable set depend only on
+// which rows survived, so callers compute them once per surviving row
+// list (tomo::row_space_of) and pass them in.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "infer/measurement.h"
 #include "linalg/cgls.h"
+#include "linalg/elimination.h"
 #include "tomo/path_system.h"
 
 namespace rnt::infer {
@@ -32,18 +36,6 @@ struct SolveOptions {
   /// Iteration cap / tolerance (cap 0 = 2 · link count).
   linalg::CglsOptions cgls;
 };
-
-/// The surviving system of one row list: its covered-link operator, rank
-/// and identifiable links.
-struct RestrictedSystem {
-  std::vector<std::size_t> rows;  ///< Surviving path indices, in order.
-  tomo::CoveredSystem covered;
-  linalg::RowSpace space;         ///< Identifiable entries are link ids.
-};
-
-/// Builds the restricted system of `rows` (one elimination).
-RestrictedSystem restrict_system(const tomo::PathSystem& system,
-                                 const std::vector<std::size_t>& rows);
 
 /// Solution of one scenario's surviving system.
 struct ScenarioSolution {
@@ -61,15 +53,19 @@ struct ScenarioSolution {
   bool converged = false;          ///< CGLS hit its tolerance (vs the cap).
 };
 
-/// Solves one scenario's observations against a prepared restricted
-/// system; `observations.rows` must equal `restricted.rows`.  With no
-/// surviving rows the solution is all-zero with an empty identifiable set.
-ScenarioSolution solve_restricted(const RestrictedSystem& restricted,
-                                  const Observations& observations,
-                                  MeasurementModel model,
-                                  const SolveOptions& options = {});
+/// Solves every scenario of `observations` as one lane of a single CGLS
+/// run over `covered` == tomo::covered_system(system, subset).  Each
+/// scenario's rows must be the paths of `subset` that survived it, in
+/// subset order (as synthesize_observations draws them); `spaces[i]` is
+/// the row space of observations[i].rows.  A scenario with no surviving
+/// rows comes back all-zero, converged, with an empty identifiable set.
+std::vector<ScenarioSolution> solve_lanes(
+    const tomo::CoveredSystem& covered, const std::vector<std::size_t>& subset,
+    std::span<const Observations> observations,
+    std::span<const linalg::RowSpace* const> spaces, MeasurementModel model,
+    const SolveOptions& options = {});
 
-/// One-shot form: restrict_system(observations.rows), then solve.
+/// One scenario as a one-lane solve_lanes over its own surviving rows.
 ScenarioSolution solve_scenario(const tomo::PathSystem& system,
                                 const Observations& observations,
                                 MeasurementModel model,

@@ -44,6 +44,12 @@ class SparseMatrix {
   std::span<const std::size_t> row_columns(std::size_t r) const;
   std::span<const double> row_values(std::size_t r) const;
 
+  /// The raw CSR arrays: row r's entries are [row_starts()[r],
+  /// row_starts()[r + 1]) of col_indices() and values().
+  std::span<const std::size_t> row_starts() const { return row_start_; }
+  std::span<const std::size_t> col_indices() const { return col_index_; }
+  std::span<const double> values() const { return values_; }
+
   /// y = A x.
   std::vector<double> multiply(std::span<const double> x) const;
 

@@ -49,6 +49,17 @@ std::size_t positive_count(const Request& request, const std::string& key,
   return n;
 }
 
+/// A verb's `scenarios`: positive, and at most `cap`.
+std::size_t scenario_count(const Request& request, std::size_t def,
+                           std::size_t cap, const std::string& verb) {
+  const std::size_t n = positive_count(request, "scenarios", def, verb);
+  if (n > cap) {
+    throw std::invalid_argument(verb + ": scenarios must be at most " +
+                                std::to_string(cap));
+  }
+  return n;
+}
+
 double total_cost(const exp::Workload& w) {
   std::vector<std::size_t> all(w.system->path_count());
   std::iota(all.begin(), all.end(), std::size_t{0});
@@ -351,7 +362,8 @@ Response Service::dispatch(const Request& request) {
     }
     case RequestType::kErEval: {
       exp::EvalOptions opts;
-      opts.scenarios = positive_count(request, "scenarios", 200, "er-eval");
+      opts.scenarios =
+          scenario_count(request, 200, kMaxErEvalScenarios, "er-eval");
       opts.identifiability = false;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
@@ -379,8 +391,8 @@ Response Service::dispatch(const Request& request) {
     }
     case RequestType::kIdentifiability: {
       exp::EvalOptions opts;
-      opts.scenarios =
-          positive_count(request, "scenarios", 200, "identifiability");
+      opts.scenarios = scenario_count(
+          request, 200, kMaxIdentifiabilityScenarios, "identifiability");
       opts.identifiability = true;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
@@ -579,8 +591,8 @@ Response Service::dispatch(const Request& request) {
             "localize-node: family must be node or link");
       }
       const auto k = positive_count(request, "k", 2, "localize-node");
-      const auto trials =
-          positive_count(request, "scenarios", 300, "localize-node");
+      const auto trials = scenario_count(
+          request, 300, kMaxLocalizeNodeScenarios, "localize-node");
       const auto ident_cap = request.get_count("ident-cap", 0);
       Rng rng = w.eval_rng();
       const auto score = boolnt::score_multi_localization(
@@ -623,7 +635,8 @@ Response Service::dispatch(const Request& request) {
         throw std::invalid_argument(
             "infer: noise must be finite and non-negative");
       }
-      config.scenarios = positive_count(request, "scenarios", 200, "infer");
+      config.scenarios =
+          scenario_count(request, 200, kMaxInferScenarios, "infer");
       // One solver worker: handler concurrency already comes from the
       // request pool, and threads=1 keeps per-request latency honest.
       config.threads = 1;

@@ -73,6 +73,17 @@ struct SweepSession {
   std::map<std::size_t, std::string> add_bits;  ///< Path -> encoded reply.
 };
 
+/// Upper bounds on `scenarios`, one per verb whose work grows linearly
+/// with it; a larger value is answered with the error "<verb>: scenarios
+/// must be at most <cap>".  Each cap sits far above what the library's
+/// experiments ask for (the benchmark's largest request names 100), and
+/// at the cap a request on the largest bundled topology runs for seconds,
+/// not hours.
+inline constexpr std::size_t kMaxInferScenarios = 10'000;
+inline constexpr std::size_t kMaxErEvalScenarios = 100'000;
+inline constexpr std::size_t kMaxIdentifiabilityScenarios = 20'000;
+inline constexpr std::size_t kMaxLocalizeNodeScenarios = 20'000;
+
 struct ServiceConfig {
   std::size_t threads = 0;         ///< Pool size; 0 = hardware concurrency.
   std::size_t cache_capacity = 8;  ///< Resident workloads (LRU bound).

@@ -1666,14 +1666,38 @@ CheckResult check_restricted_solve_matches_dense(const TestInstance& inst,
                                        "per-scenario dense loop");
     }
 
+    // More scenarios than one CGLS lane group, so a tail group runs too:
+    // every scenario's lane against its own dense solve, then the report.
     infer::InferenceConfig config;
-    config.scenarios = 2 * kScenarios;
+    config.scenarios = infer::kLaneGroup + 2 * kScenarios;
     const infer::GroundTruth truth = infer::campaign_truth(
         config.model, inst.link_count(), seed, config.truth);
+    const std::vector<infer::ScenarioSolution> dense_solutions =
+        dense_solve_scenarios(inst.system, subset, inst.model, truth, config,
+                              seed);
     const infer::InferenceReport reference = dense_run_inference(
         inst.system, subset, inst.model, truth, config, seed);
+    const infer::ScenarioSampler sampler = [&inst](Rng& r) {
+      return inst.model.sample(r);
+    };
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
       config.threads = threads;
+      const std::vector<infer::ScenarioSolution> solutions =
+          infer::solve_scenarios(inst.system, subset, sampler, truth, config,
+                                 seed);
+      for (std::size_t s = 0; s < solutions.size(); ++s) {
+        if (!same_solution(solutions[s], dense_solutions[s])) {
+          return CheckResult::fail(
+              where + ": solve_scenarios(threads=" + std::to_string(threads) +
+              ") scenario " + std::to_string(s) + " (" +
+              std::to_string(solutions[s].iterations) +
+              " iterations, residual " + fmt(solutions[s].residual_norm) +
+              ") differs from its dense solve (" +
+              std::to_string(dense_solutions[s].iterations) +
+              " iterations, residual " +
+              fmt(dense_solutions[s].residual_norm) + ")");
+        }
+      }
       const infer::InferenceReport report = infer::run_inference(
           inst.system, subset, inst.model, truth, config, seed);
       if (!same_report(report, reference)) {
@@ -1760,9 +1784,9 @@ const std::vector<Check>& all_checks() {
        "engines and thread counts",
        2, true, check_family_engines_agree},
       {"restricted-solve-matches-dense",
-       "covered-link row space, rank_of, solve_scenario and the "
-       "class-memoized evaluate/infer loops are bitwise the full-width "
-       "dense per-scenario computation",
+       "covered-link row space, rank_of, solve_scenario, every CGLS lane "
+       "of solve_scenarios and the class-memoized evaluate/infer loops are "
+       "bitwise the full-width dense per-scenario computation",
        1, true, check_restricted_solve_matches_dense},
   };
   return checks;

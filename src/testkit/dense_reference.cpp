@@ -265,7 +265,7 @@ exp::LossEvaluation dense_evaluate_loss(
   return loss;
 }
 
-infer::InferenceReport dense_run_inference(
+std::vector<infer::ScenarioSolution> dense_solve_scenarios(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
     const failures::FailureModel& failures, const infer::GroundTruth& truth,
     const infer::InferenceConfig& config, std::uint64_t seed) {
@@ -274,15 +274,26 @@ infer::InferenceReport dense_run_inference(
   for (std::size_t s = 0; s < config.scenarios; ++s) {
     scenarios.push_back(failures.sample(scenario_rng));
   }
-  const double fallback = infer::prior_estimate(config.model, config.truth);
-  infer::InferenceReport report;
+  std::vector<infer::ScenarioSolution> solutions;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     Rng noise_rng(infer::derive_seed(seed, infer::kNoiseSalt + s));
     const infer::Observations obs = infer::synthesize_observations(
         system, subset, truth, scenarios[s], config.noise_std, noise_rng);
-    report.add(infer::score_scenario(
-        dense_solve_scenario(system, obs, config.model, config.solve), truth,
-        fallback));
+    solutions.push_back(
+        dense_solve_scenario(system, obs, config.model, config.solve));
+  }
+  return solutions;
+}
+
+infer::InferenceReport dense_run_inference(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureModel& failures, const infer::GroundTruth& truth,
+    const infer::InferenceConfig& config, std::uint64_t seed) {
+  const double fallback = infer::prior_estimate(config.model, config.truth);
+  infer::InferenceReport report;
+  for (const infer::ScenarioSolution& solution :
+       dense_solve_scenarios(system, subset, failures, truth, config, seed)) {
+    report.add(infer::score_scenario(solution, truth, fallback));
   }
   return report;
 }

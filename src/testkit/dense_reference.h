@@ -101,8 +101,15 @@ exp::LossEvaluation dense_evaluate_loss(
     const failures::FailureModel& model, std::size_t scenarios,
     bool identifiability, Rng& rng);
 
-/// infer::run_inference on one thread with dense_solve_scenario per
-/// scenario (same seed derivation and scenario-order reduction).
+/// infer::solve_scenarios with dense_solve_scenario per scenario (same
+/// seed derivation, same scenario and noise streams).
+std::vector<infer::ScenarioSolution> dense_solve_scenarios(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureModel& failures, const infer::GroundTruth& truth,
+    const infer::InferenceConfig& config, std::uint64_t seed);
+
+/// infer::run_inference on dense_solve_scenarios (same scenario-order
+/// reduction).
 infer::InferenceReport dense_run_inference(
     const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
     const failures::FailureModel& failures, const infer::GroundTruth& truth,

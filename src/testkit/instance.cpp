@@ -237,6 +237,58 @@ bool try_generate(std::uint64_t attempt_seed, const SpecBounds& bounds,
   return true;
 }
 
+/// Links and paths of one minor-6 gadget.
+constexpr std::size_t kGadgetLinks = 7;
+constexpr std::size_t kGadgetPaths = 7;
+
+/// The minor-6 family.  A triangle {a,b},{b,c},{a,c} (3x3 minor 2) and the
+/// complement of the identity on four more links, {e,f,g},{d,f,g},
+/// {d,e,g},{d,e,f} (4x4 minor -3), together give seven rows whose 7x7
+/// minor is -6: dependent over GF(2) and over GF(3), yet rationally
+/// independent.  Whichever gadget an accumulator's add order completes
+/// first desyncs one field of the sliced kernel's lane; the other
+/// gadget's last row then reduces to zero in the only field still synced,
+/// so the lane is ambiguous and the float fallback must answer
+/// "independent".  Link ids are permuted, up to three random paths over
+/// all links are mixed in, and path order is shuffled.
+TestInstance generate_minor6(std::uint64_t seed, const SpecBounds& bounds) {
+  Rng rng(seed);
+  const std::size_t extra_links = rng.index(
+      std::min<std::size_t>(bounds.max_links - kGadgetLinks, 3) + 1);
+  const std::size_t links = kGadgetLinks + extra_links;
+  std::vector<std::uint32_t> id(links);
+  for (std::size_t l = 0; l < links; ++l) id[l] = static_cast<std::uint32_t>(l);
+  rng.shuffle(id);
+  std::vector<std::vector<std::uint32_t>> path_links = {
+      {id[0], id[1]}, {id[1], id[2]}, {id[0], id[2]},
+      {id[4], id[5], id[6]}, {id[3], id[5], id[6]},
+      {id[3], id[4], id[6]}, {id[3], id[4], id[5]}};
+  const std::size_t extra_paths = rng.index(
+      std::min<std::size_t>(bounds.max_paths - kGadgetPaths, 3) + 1);
+  for (std::size_t p = 0; p < extra_paths; ++p) {
+    std::vector<std::uint32_t> path;
+    const std::size_t hops = 2 + rng.index(3);
+    for (std::size_t h = 0; h < hops; ++h) {
+      path.push_back(static_cast<std::uint32_t>(rng.index(links)));
+    }
+    path_links.push_back(std::move(path));  // make_instance dedups links.
+  }
+  rng.shuffle(path_links);
+  std::vector<double> probs(links);
+  for (double& x : probs) x = rng.uniform(0.01, 0.2);
+  std::vector<double> costs(path_links.size(), 1.0);
+  if (rng.bernoulli(0.5)) {
+    for (double& c : costs) c = rng.uniform(1.0, 4.0);
+  }
+  std::ostringstream origin;
+  origin << "minor6(seed=" << seed << ")";
+  return make_instance(std::move(path_links), std::move(probs),
+                       std::move(costs), mix_seed(seed, 0x5eed), origin.str());
+}
+
+/// Salt of the per-case draw that picks the minor-6 family.
+constexpr std::uint64_t kFamilySalt = 0x6d696e6f7236ULL;  // "minor6"
+
 }  // namespace
 
 TestInstance generate_instance(std::uint64_t case_seed,
@@ -244,6 +296,13 @@ TestInstance generate_instance(std::uint64_t case_seed,
   if (bounds.min_nodes < 3 || bounds.max_nodes < bounds.min_nodes ||
       bounds.min_paths < 2 || bounds.max_paths < bounds.min_paths) {
     throw std::invalid_argument("generate_instance: malformed bounds");
+  }
+  // One case in eight is a minor-6 instance when the bounds hold one; the
+  // draw has its own stream, so every other case is unchanged.
+  const std::uint64_t family = mix_seed(case_seed, kFamilySalt);
+  if (family % 8 == 0 && bounds.max_links >= kGadgetLinks &&
+      bounds.max_paths >= kGadgetPaths) {
+    return generate_minor6(family, bounds);
   }
   TestInstance inst;
   for (std::uint64_t attempt = 0; attempt < 64; ++attempt) {

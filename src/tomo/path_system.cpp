@@ -123,20 +123,30 @@ linalg::RowSpace row_space_of(const PathSystem& system,
   return row_space(covered_system(system, rows));
 }
 
-linalg::CglsResult least_squares(const CoveredSystem& covered,
-                                 std::span<const double> values,
-                                 linalg::CglsOptions options) {
+std::vector<linalg::CglsResult> least_squares_lanes(
+    const CoveredSystem& covered, std::span<const double> values,
+    std::span<const double> mask, std::size_t lanes,
+    linalg::CglsOptions options) {
   if (options.max_iterations == 0) {
     options.max_iterations = 2 * covered.link_count;
   }
-  linalg::CglsResult result =
-      linalg::cgls_solve(covered.matrix, values, options);
-  std::vector<double> x(covered.link_count, 0.0);
-  for (std::size_t c = 0; c < covered.links.size(); ++c) {
-    x[covered.links[c]] = result.x[c];
+  std::vector<linalg::CglsResult> results =
+      linalg::cgls_solve_lanes(covered.matrix, values, mask, lanes, options);
+  for (linalg::CglsResult& result : results) {
+    std::vector<double> x(covered.link_count, 0.0);
+    for (std::size_t c = 0; c < covered.links.size(); ++c) {
+      x[covered.links[c]] = result.x[c];
+    }
+    result.x = std::move(x);
   }
-  result.x = std::move(x);
-  return result;
+  return results;
+}
+
+linalg::CglsResult least_squares(const CoveredSystem& covered,
+                                 std::span<const double> values,
+                                 linalg::CglsOptions options) {
+  const std::vector<double> all(covered.matrix.rows(), 1.0);
+  return std::move(least_squares_lanes(covered, values, all, 1, options).front());
 }
 
 }  // namespace rnt::tomo

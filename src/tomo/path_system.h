@@ -154,10 +154,18 @@ linalg::RowSpace row_space(const CoveredSystem& covered);
 linalg::RowSpace row_space_of(const PathSystem& system,
                               const std::vector<std::size_t>& rows);
 
-/// Min-norm least-squares solve of the covered system from x0 = 0, with x
-/// scattered back to one entry per link (uncovered links stay exactly 0).
+/// Min-norm least-squares solves of the covered system from x0 = 0, one
+/// per lane (linalg::cgls_solve_lanes: lane l reads values[i * lanes + l]
+/// and mask[i * lanes + l] for row i), with each x scattered back to one
+/// entry per link (links outside a lane's unmasked rows stay exactly +0).
 /// An iteration cap of 0 means 2 * link_count, the full-width default, so
-/// the result is bitwise the full-width CGLS solve.
+/// lane l is bitwise the full-width CGLS solve of its unmasked rows.
+std::vector<linalg::CglsResult> least_squares_lanes(
+    const CoveredSystem& covered, std::span<const double> values,
+    std::span<const double> mask, std::size_t lanes,
+    linalg::CglsOptions options = {});
+
+/// One lane of least_squares_lanes with every row unmasked.
 linalg::CglsResult least_squares(const CoveredSystem& covered,
                                  std::span<const double> values,
                                  linalg::CglsOptions options = {});

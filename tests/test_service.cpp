@@ -559,6 +559,26 @@ TEST(Service, ZeroScenariosAreRejectedByEveryScenarioVerb) {
   }
 }
 
+TEST(Service, ScenariosAboveTheVerbCapAreRejected) {
+  // One past each verb's cap gets a structured error; nothing at the cap
+  // size is ever run here.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string params =
+      "nodes=30 links=60 seed=3 intensity=5 paths=30 subset=0,1,2";
+  const std::vector<std::pair<std::string, std::size_t>> caps = {
+      {"er-eval", kMaxErEvalScenarios},
+      {"identifiability", kMaxIdentifiabilityScenarios},
+      {"infer", kMaxInferScenarios},
+      {"localize-node", kMaxLocalizeNodeScenarios}};
+  for (const auto& [verb, cap] : caps) {
+    const Response r = svc.handle_line(verb + " " + params + " scenarios=" +
+                                       std::to_string(cap + 1));
+    ASSERT_FALSE(r.ok) << verb;
+    EXPECT_EQ(r.error,
+              verb + ": scenarios must be at most " + std::to_string(cap));
+  }
+}
+
 TEST(Service, InferRejectsNonFiniteNoise) {
   // noise=inf answered converged=0 residual-mean=-nan; noise=nan silently
   // ran noise-free.
