@@ -30,13 +30,17 @@
 // With --json the ratios land in BENCH_INFER.json; CI gates them against
 // bench/baselines/BENCH_INFER.json via tools/bench_compare.  The quality
 // ratios are statistical, not wall-clock, so they are machine-independent
-// and exactly reproducible from the seed.  One ratio is a speed ratio:
-// cgls_lanes_over_single times the rome campaign's CGLS solves in lane
-// groups against one call per scenario, in the same process.  ext_estimation reports the same
-// pipeline's budget sweep for one family; the two drivers share their
-// scaffolding through bench_common.h.
+// and exactly reproducible from the seed.  Two ratios are speed ratios,
+// both sides timed in the same process: cgls_lanes_over_single times the
+// rome campaign's CGLS solves in lane groups against one call per
+// scenario, and class_spaces_over_dense times the testkit's dense
+// per-class row spaces against tomo::class_row_spaces on the campaign's
+// scenario classes.  ext_estimation reports the same pipeline's budget
+// sweep for one family; the two drivers share their scaffolding through
+// bench_common.h.
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +50,8 @@
 #include "core/rome.h"
 #include "failures/srlg.h"
 #include "infer/inference.h"
+#include "testkit/dense_reference.h"
+#include "tomo/row_classes.h"
 
 namespace rnt::bench {
 namespace {
@@ -68,7 +74,7 @@ std::pair<LatencySample, LatencySample> measure_lane_solves(
     observations.push_back(infer::synthesize_observations(
         system, subset, truth, v, config.noise_std, noise_rng));
     own.push_back(tomo::covered_system(system, observations.back().rows));
-    spaces.push_back(tomo::row_space(own.back()));
+    spaces.push_back(tomo::row_space_of(system, observations.back().rows));
   }
   const tomo::CoveredSystem covered = tomo::covered_system(system, subset);
   std::vector<const linalg::RowSpace*> space_ptrs;
@@ -96,6 +102,44 @@ std::pair<LatencySample, LatencySample> measure_lane_solves(
       },
       /*min_iterations=*/5, /*min_seconds=*/0.3);
   return {lanes, single};
+}
+
+/// The campaign's scenario classes (the subset first, then each scenario's
+/// surviving rows, as solve_scenarios interns them) eliminated two ways:
+/// the production forked sparse bases (tomo::class_row_spaces) and one
+/// dense reduced row-echelon pass per class (the testkit reference).  Both
+/// give the same ranks and identifiable links; a mismatch throws.
+std::pair<LatencySample, LatencySample> measure_class_spaces(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const infer::ScenarioSampler& sampler, const infer::InferenceConfig& config,
+    std::uint64_t seed) {
+  Rng scenario_rng(infer::derive_seed(seed, infer::kScenarioSalt));
+  tomo::RowClasses classes;
+  classes.intern(subset);
+  for (std::size_t s = 0; s < config.scenarios; ++s) {
+    classes.intern(system.surviving_rows(subset, sampler(scenario_rng)));
+  }
+  const auto same = [](const std::vector<linalg::RowSpace>& a,
+                       const std::vector<linalg::RowSpace>& b) {
+    for (std::size_t c = 0; c < a.size(); ++c) {
+      if (a[c].rank != b[c].rank || a[c].identifiable != b[c].identifiable) {
+        return false;
+      }
+    }
+    return a.size() == b.size();
+  };
+  if (!same(tomo::class_row_spaces(system, classes, true),
+            testkit::dense_class_row_spaces(system, classes))) {
+    throw std::runtime_error(
+        "ext_inference: class_row_spaces differs from the dense reference");
+  }
+  const LatencySample sparse = measure(
+      [&] { (void)tomo::class_row_spaces(system, classes, true); },
+      /*min_iterations=*/5, /*min_seconds=*/0.3);
+  const LatencySample dense = measure(
+      [&] { (void)testkit::dense_class_row_spaces(system, classes); },
+      /*min_iterations=*/5, /*min_seconds=*/0.3);
+  return {sparse, dense};
 }
 
 int main_body(Flags& flags) {
@@ -211,6 +255,11 @@ int main_body(Flags& flags) {
     report.add_metric("cgls_lane_groups", lanes);
     report.add_metric("cgls_one_per_scenario", single);
     report.add_ratio("cgls_lanes_over_single", single.p50_us / lanes.p50_us);
+    const auto [sparse, dense] = measure_class_spaces(
+        *w.system, rome_sel.paths, independent_sampler, config, opts.seed);
+    report.add_metric("class_spaces_forked", sparse);
+    report.add_metric("class_spaces_dense", dense);
+    report.add_ratio("class_spaces_over_dense", dense.p50_us / sparse.p50_us);
     report.write(json_path);
     if (!opts.csv) std::cout << "\nwrote " << json_path << "\n";
   }

@@ -130,8 +130,8 @@ void BM_CholeskyBasis(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyBasis)->Arg(50)->Arg(100)->Arg(200);
 
-/// The testkit null-space basis that linalg::row_space replaced in
-/// production identifiability.
+/// The testkit null-space basis that the dense row space replaced as the
+/// identifiability reference.
 void BM_NullSpace(benchmark::State& state) {
   const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -143,7 +143,7 @@ BENCHMARK(BM_NullSpace)->Arg(50)->Arg(100);
 void BM_IdentifiableColumns(benchmark::State& state) {
   const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::identifiable_columns(m));
+    benchmark::DoNotOptimize(testkit::identifiable_columns(m));
   }
 }
 BENCHMARK(BM_IdentifiableColumns)->Arg(50)->Arg(100);

@@ -13,8 +13,9 @@ struct ClassMetrics {
 };
 
 /// Samples `scenarios` failure vectors in rng order and groups them by the
-/// surviving rows of `subset`, one elimination per class.  Class 0 is
-/// `subset` itself (no failure on it); class_of[s] is scenario s's class.
+/// surviving rows of `subset`, all classes eliminated by one
+/// tomo::class_row_spaces call.  Class 0 is `subset` itself (no failure on
+/// it); class_of[s] is scenario s's class.
 struct SampledClasses {
   std::vector<std::size_t> class_of;
   std::vector<ClassMetrics> metrics;
@@ -33,16 +34,12 @@ SampledClasses sample_classes(const tomo::PathSystem& system,
     out.class_of.push_back(
         classes.intern(system.surviving_rows(subset, model.sample(rng))));
   }
-  // Rank-only callers skip the back-substitution.
-  out.metrics.reserve(classes.size());
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    if (identifiability) {
-      const linalg::RowSpace space =
-          tomo::row_space_of(system, classes.rows(c));
-      out.metrics.push_back({space.rank, space.identifiable.size()});
-    } else {
-      out.metrics.push_back({system.rank_of(classes.rows(c)), 0});
-    }
+  // Rank-only callers skip the unit-row identifiability tests.
+  const std::vector<linalg::RowSpace> spaces =
+      tomo::class_row_spaces(system, classes, identifiability);
+  out.metrics.reserve(spaces.size());
+  for (const linalg::RowSpace& space : spaces) {
+    out.metrics.push_back({space.rank, space.identifiable.size()});
   }
   return out;
 }

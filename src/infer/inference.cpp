@@ -35,9 +35,11 @@ std::vector<ScenarioSolution> solve_scenarios(
   }
 
   // Scenarios that leave the same rows share one row space (rank and
-  // identifiable set); classes are interned here, in scenario order, so
-  // the work below is schedule-independent.
+  // identifiable set).  Class 0 is the subset itself, the root every other
+  // class forks from; the rest are interned in scenario order, so the work
+  // below is schedule-independent.
   tomo::RowClasses classes;
+  classes.intern(subset);
   std::vector<std::size_t> class_of;
   class_of.reserve(scenarios.size());
   for (const failures::FailureVector& v : scenarios) {
@@ -67,10 +69,12 @@ std::vector<ScenarioSolution> solve_scenarios(
     for (std::thread& worker : pool) worker.join();
   };
 
+  // The classes fork the subset's basis independently of each other.
+  const tomo::ClassRowSpaces class_spaces(system, classes,
+                                          /*identifiable=*/true);
   std::vector<linalg::RowSpace> spaces(classes.size());
-  parallel_for(classes.size(), [&](std::size_t c) {
-    spaces[c] = tomo::row_space_of(system, classes.rows(c));
-  });
+  parallel_for(classes.size(),
+               [&](std::size_t c) { spaces[c] = class_spaces.space(c); });
 
   // Every scenario is one lane of a CGLS run over the subset's covered
   // system; a group is a fixed range of scenario indices, so neither the

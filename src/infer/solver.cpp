@@ -64,7 +64,8 @@ ScenarioSolution solve_scenario(const tomo::PathSystem& system,
                                 const SolveOptions& options) {
   const tomo::CoveredSystem covered =
       tomo::covered_system(system, observations.rows);
-  const linalg::RowSpace space = tomo::row_space(covered);
+  const linalg::RowSpace space =
+      tomo::row_space_of(system, observations.rows);
   const linalg::RowSpace* spaces[] = {&space};
   return std::move(solve_lanes(covered, observations.rows, {&observations, 1},
                                spaces, model, options)

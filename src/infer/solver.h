@@ -18,7 +18,9 @@
 // is bit for bit the one-lane solve of its own surviving rows
 // (linalg/cgls.h says why).  The rank and identifiable set depend only on
 // which rows survived, so callers compute them once per surviving row
-// list (tomo::row_space_of) and pass them in.
+// list and pass them in: solve_scenarios forks every class from the
+// subset's sparse basis (tomo::class_row_spaces), solve_scenario reduces
+// its one row list (tomo::row_space_of).
 #pragma once
 
 #include <cstddef>

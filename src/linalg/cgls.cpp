@@ -246,6 +246,7 @@ std::vector<CglsResult> solve_lanes(const CglsOps& ops, const SparseMatrix& a,
     }
     gamma[l] = gamma[last];
     qq[l] = qq[last];
+    step[l] = step[last];
     target[l] = target[last];
     id[l] = id[last];
     gamma[last] = 0.0;
@@ -255,7 +256,7 @@ std::vector<CglsResult> solve_lanes(const CglsOps& ops, const SparseMatrix& a,
   for (;;) {
     for (std::size_t l = 0; l < live;) {
       if (iterations < max_iter && std::sqrt(gamma[l]) > target[l] &&
-          gamma[l] > 0.0) {
+          gamma[l] > 0.0 && std::isfinite(step[l])) {
         ++l;
       } else {
         retire(l);
@@ -263,9 +264,12 @@ std::vector<CglsResult> solve_lanes(const CglsOps& ops, const SparseMatrix& a,
     }
     if (live == 0) break;
     forward(p.data(), m.data(), q.data(), qq.data(), round_to_block(live));
-    // qq == 0: p in the null space; nothing left to gain.
+    // qq == 0: p in the null space; nothing left to gain.  A step that
+    // is not finite (qq or alpha overflowed once the iteration ran past
+    // its roundoff floor) stops the lane before it is applied.
     for (std::size_t l = 0; l < live;) {
-      if (qq[l] == 0.0) {
+      if (qq[l] == 0.0 || !std::isfinite(qq[l]) ||
+          !std::isfinite(gamma[l] / qq[l])) {
         retire(l);
       } else {
         ++l;
@@ -277,6 +281,8 @@ std::vector<CglsResult> solve_lanes(const CglsOps& ops, const SparseMatrix& a,
     ops.update(x.data(), p.data(), step.data(), false, cols, span, stride);
     ops.update(r.data(), q.data(), step.data(), true, rows, span, stride);
     adjoint(r.data(), s.data(), gamma_new.data(), span);
+    // A beta that is not finite stops the lane at the top of the loop,
+    // before the p it spoiled is used.
     for (std::size_t l = 0; l < live; ++l) step[l] = gamma_new[l] / gamma[l];
     ops.xpby(p.data(), s.data(), step.data(), cols, span, stride);
     for (std::size_t l = 0; l < live; ++l) gamma[l] = gamma_new[l];
@@ -318,7 +324,9 @@ CglsResult cgls_solve(const Matrix& a, std::span<const double> b,
     const std::vector<double> q = a.multiply(std::span<const double>(p));
     double qq = 0.0;
     for (double v : q) qq += v * v;
-    if (qq == 0.0) break;  // p in the null space; nothing left to gain.
+    // p in the null space (nothing left to gain), or a step that is not
+    // finite: stop, as the lane loop does.
+    if (qq == 0.0 || !std::isfinite(qq) || !std::isfinite(gamma / qq)) break;
     const double alpha = gamma / qq;
     for (std::size_t i = 0; i < a.cols(); ++i) result.x[i] += alpha * p[i];
     for (std::size_t i = 0; i < a.rows(); ++i) r[i] -= alpha * q[i];
@@ -329,6 +337,7 @@ CglsResult cgls_solve(const Matrix& a, std::span<const double> b,
     for (std::size_t i = 0; i < a.cols(); ++i) p[i] = s[i] + beta * p[i];
     gamma = gamma_new;
     ++result.iterations;
+    if (!std::isfinite(beta)) break;
   }
   result.residual_norm = norm2(r);
   result.converged = std::sqrt(gamma) <= target || gamma == 0.0;

@@ -21,7 +21,11 @@
 //   * the adjoint gathers each column over its rows in ascending order
 //     (the order the one-lane scatter adds in), and an accumulator that
 //     starts at +0 never becomes −0, so the +0 terms change no bit;
-//   * a column no unmasked row touches keeps s = p = x = +0 throughout;
+//   * a column no unmasked row touches keeps s = p = x = +0 throughout,
+//     because a lane stops before it would apply a step (alpha or beta)
+//     that is not finite: 0 · inf would turn those zeros into NaN.  Only
+//     a tolerance far below the default reaches such a step, once the
+//     iteration has run past its roundoff floor;
 //   * a lane leaves the batch at its own stop and the live lanes are
 //     compacted, so no lane computes past its exit; the slots past the
 //     live lanes, up to the next multiple of 8, hold zeros and compute

@@ -82,30 +82,6 @@ EchelonForm reduced_row_echelon(const Matrix& m, double tol) {
   return ef;
 }
 
-RowSpace row_space(const Matrix& m, double tol) {
-  RowSpace out;
-  if (m.empty()) return out;
-  const EchelonForm ef = reduced_row_echelon(m, tol);
-  out.rank = ef.rank;
-  std::vector<bool> is_pivot(m.cols(), false);
-  for (const std::size_t pc : ef.pivots) is_pivot[pc] = true;
-  std::vector<std::size_t> free_cols;
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    if (!is_pivot[c]) free_cols.push_back(c);
-  }
-  for (std::size_t i = 0; i < ef.rank; ++i) {
-    bool pinned = true;
-    for (const std::size_t f : free_cols) {
-      if (std::abs(ef.reduced(i, f)) > tol) {
-        pinned = false;
-        break;
-      }
-    }
-    if (pinned) out.identifiable.push_back(ef.pivots[i]);
-  }
-  return out;
-}
-
 std::optional<std::vector<double>> solve(const Matrix& a,
                                          std::span<const double> y,
                                          double tol) {
@@ -128,10 +104,6 @@ std::optional<std::vector<double>> solve(const Matrix& a,
     x[ef.pivots[i]] = ef.reduced(i, a.cols());
   }
   return x;
-}
-
-std::vector<std::size_t> identifiable_columns(const Matrix& m, double tol) {
-  return row_space(m, tol).identifiable;
 }
 
 std::vector<std::size_t> independent_row_subset(

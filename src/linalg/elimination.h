@@ -1,6 +1,5 @@
-// Gaussian elimination with partial pivoting: rank, row-echelon form,
-// row-space structure (rank plus identifiable columns), and linear-system
-// solving for the tomography linear system A x = y.
+// Gaussian elimination with partial pivoting: rank, row-echelon form and
+// linear-system solving for the tomography linear system A x = y.
 //
 // Tolerance note: path matrices are 0/1 with modest dimensions, so entries
 // of eliminated rows stay well-scaled; kDefaultTolerance is far below the
@@ -48,24 +47,14 @@ std::optional<std::vector<double>> solve(const Matrix& a,
                                          std::span<const double> y,
                                          double tol = kDefaultTolerance);
 
-/// Rank and identifiable columns of one matrix.
+/// Rank and identifiable columns of one matrix (tomo::class_row_spaces
+/// computes it for path rows; testkit::row_space is the dense reference).
 struct RowSpace {
   std::size_t rank = 0;
   /// Ascending columns j with e_j in the row space: the variables whose
   /// value m x = y pins down uniquely for consistent y.
   std::vector<std::size_t> identifiable;
 };
-
-/// Both answers from one reduced row-echelon pass.  Column j is
-/// identifiable iff it is a pivot column and |R(i, f)| <= tol in its pivot
-/// row i for every free column f: the same test as "every null-space basis
-/// vector is zero at j", since the basis vector of free column f carries
-/// -R(i, f) at pivot column j, without building the cols - rank vectors.
-RowSpace row_space(const Matrix& m, double tol = kDefaultTolerance);
-
-/// row_space(m).identifiable.
-std::vector<std::size_t> identifiable_columns(const Matrix& m,
-                                              double tol = kDefaultTolerance);
 
 /// Selects a maximal linearly independent subset of the rows of `m`,
 /// scanning rows in the given order (or 0..rows-1 if `order` is empty).

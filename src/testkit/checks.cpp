@@ -36,6 +36,7 @@
 #include "testkit/dense_reference.h"
 #include "testkit/oracles.h"
 #include "testkit/table_engine.h"
+#include "tomo/row_classes.h"
 #include "util/rng.h"
 
 namespace rnt::testkit {
@@ -1518,7 +1519,8 @@ CheckResult check_family_engines_agree(const TestInstance& inst,
 
 // --------------------------------------------------------------------------
 // 18. The covered-link, class-memoized surviving system is bitwise the
-//     full-width dense computation it replaced, scenario by scenario.
+//     full-width dense computation it replaced, scenario by scenario, and
+//     every scenario class's forked-basis row space is the dense one.
 // --------------------------------------------------------------------------
 
 namespace {
@@ -1570,6 +1572,13 @@ CheckResult check_restricted_solve_matches_dense(const TestInstance& inst,
       random_subset(rng, inst.path_count())};
   rng.shuffle(subsets[1]);
   rng.shuffle(subsets[2]);
+  // A subset may list a path twice: a class keeps both copies or neither.
+  if (!subsets[2].empty()) {
+    const std::size_t at = rng.index(subsets[2].size());
+    const std::size_t twice = subsets[2][rng.index(subsets[2].size())];
+    subsets.push_back(subsets[2]);
+    subsets.back().insert(subsets.back().begin() + at, twice);
+  }
   constexpr std::size_t kScenarios = 6;
   const failures::FailureVector no_failure(inst.link_count(), false);
   // Default options, and a zero tolerance that runs CGLS to its default
@@ -1627,6 +1636,47 @@ CheckResult check_restricted_solve_matches_dense(const TestInstance& inst,
                 std::to_string(want.iterations) + " iterations, residual " +
                 fmt(want.residual_norm) + ")");
           }
+        }
+      }
+    }
+
+    // Every scenario class of the subset from the subset's one forked
+    // basis, in both modes, against a dense pass and the exact referee per
+    // class.  Two classes are forced in: the subset without its first row
+    // (a fork at prefix 0) and the class with every row failed.
+    tomo::RowClasses classes;
+    classes.intern(subset);
+    if (!subset.empty()) {
+      classes.intern(
+          std::vector<std::size_t>(subset.begin() + 1, subset.end()));
+    }
+    classes.intern({});
+    for (std::size_t s = 0; s < 4 * kScenarios; ++s) {
+      classes.intern(
+          inst.system.surviving_rows(subset, inst.model.sample(rng)));
+    }
+    for (const bool identifiable : {true, false}) {
+      const std::vector<linalg::RowSpace> spaces =
+          tomo::class_row_spaces(inst.system, classes, identifiable);
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        const std::vector<std::size_t>& rows = classes.rows(c);
+        const std::size_t dense = dense_rank(inst.system, rows);
+        const std::size_t exact = exact_rank(dense_rows(inst, rows));
+        const std::vector<std::size_t> dense_links =
+            identifiable ? dense_identifiable(inst.system, rows)
+                         : std::vector<std::size_t>{};
+        if (spaces[c].rank != dense || dense != exact ||
+            spaces[c].identifiable != dense_links) {
+          return CheckResult::fail(
+              where + ", class " + std::to_string(c) + " of " +
+              std::to_string(classes.size()) + " (" +
+              std::to_string(rows.size()) + " rows, identifiable=" +
+              (identifiable ? "1" : "0") + "): class_row_spaces rank " +
+              std::to_string(spaces[c].rank) + " with " +
+              std::to_string(spaces[c].identifiable.size()) +
+              " identifiable links, dense rank " + std::to_string(dense) +
+              " with " + std::to_string(dense_links.size()) + ", exact " +
+              std::to_string(exact));
         }
       }
     }
@@ -1784,9 +1834,10 @@ const std::vector<Check>& all_checks() {
        "engines and thread counts",
        2, true, check_family_engines_agree},
       {"restricted-solve-matches-dense",
-       "covered-link row space, rank_of, solve_scenario, every CGLS lane "
-       "of solve_scenarios and the class-memoized evaluate/infer loops are "
-       "bitwise the full-width dense per-scenario computation",
+       "row_space_of, rank_of, every scenario class's forked-basis row "
+       "space, solve_scenario, every CGLS lane of solve_scenarios and the "
+       "class-memoized evaluate/infer loops are bitwise the full-width "
+       "dense per-scenario computation",
        1, true, check_restricted_solve_matches_dense},
   };
   return checks;

@@ -128,6 +128,49 @@ bool DenseIncrementalBasis::try_add(std::span<const double> row) {
   return add_with_reduction(row).independent;
 }
 
+linalg::RowSpace row_space(const linalg::Matrix& m, double tol) {
+  linalg::RowSpace out;
+  if (m.empty()) return out;
+  const linalg::EchelonForm ef = linalg::reduced_row_echelon(m, tol);
+  out.rank = ef.rank;
+  std::vector<bool> is_pivot(m.cols(), false);
+  for (const std::size_t pc : ef.pivots) is_pivot[pc] = true;
+  std::vector<std::size_t> free_cols;
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    if (!is_pivot[c]) free_cols.push_back(c);
+  }
+  for (std::size_t i = 0; i < ef.rank; ++i) {
+    bool pinned = true;
+    for (const std::size_t f : free_cols) {
+      if (std::abs(ef.reduced(i, f)) > tol) {
+        pinned = false;
+        break;
+      }
+    }
+    if (pinned) out.identifiable.push_back(ef.pivots[i]);
+  }
+  return out;
+}
+
+std::vector<std::size_t> identifiable_columns(const linalg::Matrix& m,
+                                              double tol) {
+  return row_space(m, tol).identifiable;
+}
+
+std::vector<linalg::RowSpace> dense_class_row_spaces(
+    const tomo::PathSystem& system, const tomo::RowClasses& classes) {
+  std::vector<linalg::RowSpace> spaces;
+  spaces.reserve(classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const tomo::CoveredSystem covered =
+        tomo::covered_system(system, classes.rows(c));
+    linalg::RowSpace& space =
+        spaces.emplace_back(row_space(covered.matrix.to_dense()));
+    for (std::size_t& j : space.identifiable) j = covered.links[j];
+  }
+  return spaces;
+}
+
 std::vector<std::vector<double>> null_space(const linalg::Matrix& m,
                                             double tol) {
   std::vector<std::vector<double>> basis;

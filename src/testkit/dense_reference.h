@@ -1,14 +1,16 @@
 // Full-width dense references for the surviving-row system and the
 // incremental basis.
 //
-// Production eliminates and solves each surviving row list once, on the
-// links those rows cover (tomo::CoveredSystem, tomo::RowClasses).  These
-// are the straightforward forms it replaced, kept as differential twins:
-// a dense copy of the surviving rows over every link column, its rank,
-// identifiability from an explicit null-space basis, a CSR operator from
-// that dense copy, and CGLS over the full link width, recomputed for every
-// scenario.  The compacted, memoized results must equal them bit for bit
-// (the `restricted-solve-matches-dense` check).
+// Production eliminates each surviving row list once per class, forked
+// from the request subset's sparse basis (tomo::class_row_spaces), and
+// solves on the links the rows cover (tomo::CoveredSystem).  These are the
+// straightforward forms it replaced, kept as differential twins: a dense
+// copy of the surviving rows over every link column, its rank, its
+// reduced row-echelon row space, identifiability from an explicit
+// null-space basis, a CSR operator from that dense copy, and CGLS over the
+// full link width, recomputed for every scenario.  The compacted, memoized
+// results must equal them bit for bit (the `restricted-solve-matches-dense`
+// check).
 //
 // DenseIncrementalBasis is linalg::IncrementalBasis as it was before its
 // eliminated rows went sparse: every row stored and reduced over all
@@ -28,6 +30,7 @@
 #include "linalg/incremental_basis.h"
 #include "linalg/matrix.h"
 #include "tomo/path_system.h"
+#include "tomo/row_classes.h"
 
 namespace rnt::testkit {
 
@@ -64,6 +67,25 @@ class DenseIncrementalBasis {
   std::vector<std::size_t> pivot_cols_;
   std::vector<std::vector<double>> combos_;
 };
+
+/// Rank and identifiable columns of `m` from one dense reduced row-echelon
+/// pass: column j is identifiable iff it is a pivot column and
+/// |R(i, f)| <= tol in its pivot row i for every free column f (the same
+/// test as "every null_space vector is zero at j", without building the
+/// vectors).  The dense form production's sparse class bases replaced
+/// (tomo::class_row_spaces).
+linalg::RowSpace row_space(const linalg::Matrix& m,
+                           double tol = linalg::kDefaultTolerance);
+
+/// row_space(m, tol).identifiable.
+std::vector<std::size_t> identifiable_columns(
+    const linalg::Matrix& m, double tol = linalg::kDefaultTolerance);
+
+/// Every class's row space from a dense row_space pass of its own over
+/// the links its rows cover (identifiable entries are link ids): the
+/// per-class elimination tomo::class_row_spaces replaced.
+std::vector<linalg::RowSpace> dense_class_row_spaces(
+    const tomo::PathSystem& system, const tomo::RowClasses& classes);
 
 /// Basis of the null space of `m` from its reduced row-echelon form: one
 /// vector of width m.cols() per free column, cols - rank in all.

@@ -93,7 +93,7 @@ EstimationResult estimate_link_metrics_lsq(const PathSystem& system,
   // Sparse operator over the surviving rows and the links they cover;
   // CGLS to the min-norm LS point.
   const CoveredSystem covered = covered_system(system, measurements.rows);
-  result.identifiable = row_space(covered).identifiable;
+  result.identifiable = row_space_of(system, measurements.rows).identifiable;
   result.estimates = least_squares(covered, measurements.values).x;
 
   double total = 0.0;

@@ -1,8 +1,8 @@
 // Link identifiability: which link metrics have a unique solution in the
 // linear system of surviving paths (Section VI-A's second robustness
 // metric).  Link j is identifiable iff e_j lies in the row space of the
-// surviving path matrix, read off its reduced row-echelon form over the
-// covered links (tomo::row_space_of).
+// surviving path matrix: the unit row e_j reduces to zero against the
+// rows' sparse incremental basis (tomo::row_space_of).
 #pragma once
 
 #include <cstddef>

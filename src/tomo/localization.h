@@ -66,7 +66,10 @@ struct LocalizationScore {
 /// contains every visible culprit (uniquely / among extras), and *misled*
 /// when a visible culprit is missing from the candidates — which only
 /// happens once concurrent failures make the observations inconsistent
-/// with the single-link hypothesis (concurrent_failures >= 2).
+/// with the single-link hypothesis (concurrent_failures >= 2).  Each
+/// trial applies localize_single_failure's candidate rule, the same
+/// routine over a link → probe index built once per call: a trial visits
+/// only the failed links' probes and the links of one failed probe.
 LocalizationScore score_localization(const PathSystem& system,
                                      const std::vector<std::size_t>& subset,
                                      const failures::FailureModel& model,

@@ -1,9 +1,10 @@
 #include "tomo/path_system.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
-#include "linalg/elimination.h"
+#include "tomo/row_classes.h"
 
 namespace rnt::tomo {
 
@@ -66,13 +67,17 @@ std::size_t PathSystem::surviving_rank(const std::vector<std::size_t>& subset,
 
 std::size_t PathSystem::rank_of(const std::vector<std::size_t>& subset) const {
   if (subset.empty()) return 0;
-  return linalg::rank(covered_system(*this, subset).matrix.to_dense());
+  RowClasses classes;
+  classes.intern(subset);
+  return class_row_spaces(*this, classes, /*identifiable=*/false)[0].rank;
 }
 
 std::size_t PathSystem::full_rank() const {
   std::ptrdiff_t cached = cached_full_rank_.load(std::memory_order_acquire);
   if (cached < 0) {
-    cached = static_cast<std::ptrdiff_t>(linalg::rank(matrix_));
+    std::vector<std::size_t> all(paths_.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    cached = static_cast<std::ptrdiff_t>(rank_of(all));
     cached_full_rank_.store(cached, std::memory_order_release);
   }
   return static_cast<std::size_t>(cached);
@@ -112,15 +117,12 @@ CoveredSystem covered_system(const PathSystem& system,
   return out;
 }
 
-linalg::RowSpace row_space(const CoveredSystem& covered) {
-  linalg::RowSpace space = linalg::row_space(covered.matrix.to_dense());
-  for (std::size_t& c : space.identifiable) c = covered.links[c];
-  return space;
-}
-
 linalg::RowSpace row_space_of(const PathSystem& system,
                               const std::vector<std::size_t>& rows) {
-  return row_space(covered_system(system, rows));
+  RowClasses classes;
+  classes.intern(rows);
+  return std::move(class_row_spaces(system, classes, /*identifiable=*/true)
+                       .front());
 }
 
 std::vector<linalg::CglsResult> least_squares_lanes(

@@ -107,11 +107,11 @@ class PathSystem {
   std::size_t surviving_rank(const std::vector<std::size_t>& subset,
                              const failures::FailureVector& v) const;
 
-  /// Rank of the (non-failed) submatrix given by `subset`, eliminated on
-  /// the links it covers (see covered_system).
+  /// Rank of the (non-failed) submatrix given by `subset`: row_space_of's
+  /// rank, without the identifiability tests.
   std::size_t rank_of(const std::vector<std::size_t>& subset) const;
 
-  /// Rank of the full candidate set.
+  /// Rank of the full candidate set (rank_of every path, cached).
   std::size_t full_rank() const;
 
   /// Expected availability EA(q) = prod over q's links of (1 - p_l).
@@ -128,12 +128,12 @@ class PathSystem {
   mutable std::atomic<std::ptrdiff_t> cached_full_rank_{-1};
 };
 
-/// The rows of a path list restricted to the links they cover.  A link no
-/// listed path traverses is an all-zero column of the full matrix: it never
-/// pivots (|0| <= tol) and never enters another column's arithmetic, so
-/// rank, pivots and identifiability here equal the full-width elimination
-/// bit for bit, and a CGLS solve adds exact zeros where the full-width one
-/// carries the uncovered columns.
+/// The rows of a path list as a sparse operator over the links they cover:
+/// what CGLS iterates on.  A link no listed path traverses is an all-zero
+/// column of the full matrix and never enters the arithmetic, so a solve
+/// here adds exact zeros where the full-width one carries the uncovered
+/// columns.  Rank and identifiability come from the rows' sparse basis
+/// instead (row_space_of, tomo::class_row_spaces).
 struct CoveredSystem {
   std::size_t link_count = 0;      ///< Width of the full system.
   std::vector<std::size_t> links;  ///< Covered link ids, ascending.
@@ -146,11 +146,8 @@ struct CoveredSystem {
 CoveredSystem covered_system(const PathSystem& system,
                              const std::vector<std::size_t>& rows);
 
-/// Rank and identifiable links (link ids, ascending) of a covered system,
-/// from one reduced row-echelon pass.
-linalg::RowSpace row_space(const CoveredSystem& covered);
-
-/// row_space(covered_system(system, rows)).
+/// Rank and identifiable links (link ids, ascending) of `rows`: the one
+/// class of tomo::class_row_spaces, reduced in a sparse incremental basis.
 linalg::RowSpace row_space_of(const PathSystem& system,
                               const std::vector<std::size_t>& rows);
 

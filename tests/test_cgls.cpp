@@ -514,6 +514,33 @@ TEST(CglsLanes, ConsistentSystemStopsEarlyOnZeroGamma) {
   EXPECT_TRUE(same_bits(solutions[0].additive[5], 0.0));  // Never probed.
 }
 
+TEST(CglsLanes, ZeroToleranceStopsBeforeANonFiniteStep) {
+  // Path 1 listed twice with disagreeing observations: at tolerance 0 the
+  // iteration goes on past its roundoff floor after two steps, alpha grows
+  // to about 2^97 and gamma overflows at step 15.  The lane must stop
+  // before it applies a step that is not finite: 0 · inf would turn the
+  // +0 of every link its rows do not cover into NaN, and the covered,
+  // full-width and lane solves would differ.
+  const testkit::TestInstance inst = testkit::make_instance(
+      {{6, 7}, {3}}, std::vector<double>(10, 0.1),
+      std::vector<double>(2, 1.0), 1);
+  const std::vector<std::size_t> subset = {0, 1, 1};
+  infer::Observations obs;
+  obs.rows = subset;
+  obs.values = {0x1.2ecb262f7ac54p-3, -0x1.b60011fb68ec5p-6,
+                0x1.a847bede98fc6p-5};
+  infer::SolveOptions exact;
+  exact.cgls.tolerance = 0.0;
+  const auto solutions =
+      expect_lanes_match(inst.system, subset, {obs, obs}, exact);
+  for (const auto& solution : solutions) {
+    EXPECT_FALSE(solution.converged);
+    EXPECT_LT(solution.iterations, 2 * inst.system.link_count());
+    for (const double x : solution.additive) EXPECT_FALSE(std::isnan(x));
+    EXPECT_TRUE(same_bits(solution.additive[0], 0.0));  // Never probed.
+  }
+}
+
 TEST(CglsLanes, SubsetListingAPathTwice) {
   const exp::Workload w = exp::make_custom_workload(30, 60, 80, 5);
   std::vector<std::size_t> subset = {4, 9, 17, 4, 22, 30, 9, 41};

@@ -174,11 +174,11 @@ TEST(Elimination, SolveRejectsBadRhs) {
 TEST(Elimination, RowSpaceReadsRankAndIdentifiableColumnsOffTheRref) {
   // x0 + x1 inseparable, x2 pinned, x3 uncovered.
   Matrix m{{1, 1, 0, 0}, {0, 0, 1, 0}, {1, 1, 1, 0}};
-  const RowSpace space = row_space(m);
+  const RowSpace space = testkit::row_space(m);
   EXPECT_EQ(space.rank, 2u);
   EXPECT_EQ(space.identifiable, (std::vector<std::size_t>{2}));
-  EXPECT_EQ(row_space(Matrix(0, 3)).rank, 0u);
-  EXPECT_TRUE(row_space(Matrix(0, 3)).identifiable.empty());
+  EXPECT_EQ(testkit::row_space(Matrix(0, 3)).rank, 0u);
+  EXPECT_TRUE(testkit::row_space(Matrix(0, 3)).identifiable.empty());
 }
 
 TEST(Elimination, RowSpaceRankMatchesRank) {
@@ -186,19 +186,19 @@ TEST(Elimination, RowSpaceRankMatchesRank) {
   for (int trial = 0; trial < 40; ++trial) {
     const Matrix m =
         random_binary_matrix(2 + rng.index(9), 2 + rng.index(9), 0.35, rng);
-    EXPECT_EQ(row_space(m).rank, rank(m)) << "trial " << trial;
+    EXPECT_EQ(testkit::row_space(m).rank, rank(m)) << "trial " << trial;
   }
 }
 
 TEST(Elimination, IdentifiableColumnsFullRankSquare) {
-  const auto ids = identifiable_columns(Matrix::identity(4));
+  const auto ids = testkit::identifiable_columns(Matrix::identity(4));
   EXPECT_EQ(ids.size(), 4u);
 }
 
 TEST(Elimination, IdentifiableColumnsPartial) {
   // x0 + x1 inseparable; x2 pinned.
   Matrix m{{1, 1, 0}, {0, 0, 1}};
-  const auto ids = identifiable_columns(m);
+  const auto ids = testkit::identifiable_columns(m);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], 2u);
 }
@@ -206,7 +206,7 @@ TEST(Elimination, IdentifiableColumnsPartial) {
 TEST(Elimination, IdentifiableColumnsSumAndDifference) {
   // x0+x1 and x0-x1 together identify both.
   Matrix m{{1, 1}, {1, -1}};
-  EXPECT_EQ(identifiable_columns(m).size(), 2u);
+  EXPECT_EQ(testkit::identifiable_columns(m).size(), 2u);
 }
 
 TEST(Elimination, IndependentRowSubsetIsBasis) {

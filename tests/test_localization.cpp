@@ -2,8 +2,12 @@
 // the Waxman topology generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "core/expected_rank.h"
 #include "core/rome.h"
@@ -155,6 +159,149 @@ TEST(Localization, PairwiseAccountingPartitionsTrials) {
   EXPECT_EQ(score.trials, 150u);
   EXPECT_EQ(score.exact + score.ambiguous + score.misled + score.invisible,
             150u);
+}
+
+/// localize_single_failure as a scan of every link: intersect the failed
+/// probes' links, drop the surviving probes' links.
+std::vector<graph::EdgeId> reference_candidates(
+    const tomo::PathSystem& system, const std::vector<std::size_t>& subset,
+    const failures::FailureVector& v) {
+  std::vector<std::size_t> on_failed(system.link_count(), 0);
+  std::vector<bool> exonerated(system.link_count(), false);
+  std::size_t failed = 0;
+  for (std::size_t q : subset) {
+    const auto& links = system.path(q).links;
+    if (system.path_survives(q, v)) {
+      for (graph::EdgeId l : links) exonerated[l] = true;
+    } else {
+      for (graph::EdgeId l : links) {
+        if (on_failed[l] == failed) on_failed[l] = failed + 1;
+      }
+      ++failed;
+    }
+  }
+  std::vector<graph::EdgeId> candidates;
+  if (failed == 0) return candidates;
+  for (std::size_t l = 0; l < on_failed.size(); ++l) {
+    if (on_failed[l] == failed && !exonerated[l]) {
+      candidates.push_back(static_cast<graph::EdgeId>(l));
+    }
+  }
+  return candidates;
+}
+
+/// Subsets for the reference comparisons: every path, 12 shuffled paths,
+/// the same 12 with one listed twice, and no path.
+std::vector<std::vector<std::size_t>> reference_subsets(
+    const tomo::PathSystem& system) {
+  std::vector<std::size_t> all(system.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Rng pick(33);
+  std::vector<std::size_t> shuffled = all;
+  pick.shuffle(shuffled);
+  shuffled.resize(12);
+  std::vector<std::size_t> twice = shuffled;  // a probe listed twice
+  twice.insert(twice.begin() + 4, shuffled[7]);
+  return {all, shuffled, twice, {}};
+}
+
+TEST(Localization, IndexedCandidatesMatchTheLinkScan) {
+  const exp::Workload w = exp::make_custom_workload(40, 80, 60, 19, 5.0);
+  for (const auto& subset : reference_subsets(*w.system)) {
+    for (const std::size_t k : {1, 2, 3}) {
+      Rng rng(50 + k);
+      for (int t = 0; t < 200; ++t) {
+        const auto v = w.failures->sample_exactly_k(k, rng);
+        EXPECT_EQ(
+            tomo::localize_single_failure(*w.system, subset, v).candidates,
+            reference_candidates(*w.system, subset, v))
+            << subset.size() << " probes, " << k << " failures, trial " << t;
+      }
+    }
+  }
+}
+
+/// score_localization as a per-trial loop: a visibility pass over the
+/// probes, then the link scan of reference_candidates, then a scan of
+/// every link for the visible culprits.  The indexed scorer must
+/// reproduce it exactly.
+tomo::LocalizationScore reference_score(const tomo::PathSystem& system,
+                                        const std::vector<std::size_t>& subset,
+                                        const failures::FailureModel& model,
+                                        std::size_t trials, Rng& rng,
+                                        std::size_t concurrent_failures) {
+  std::vector<bool> probed(system.link_count(), false);
+  for (std::size_t q : subset) {
+    for (graph::EdgeId l : system.path(q).links) probed[l] = true;
+  }
+  tomo::LocalizationScore score;
+  score.trials = trials;
+  double candidate_total = 0.0;
+  std::size_t visible_trials = 0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    const auto v = model.sample_exactly_k(concurrent_failures, rng);
+    bool any_probe_failed = false;
+    for (std::size_t q : subset) {
+      if (!system.path_survives(q, v)) {
+        any_probe_failed = true;
+        break;
+      }
+    }
+    if (!any_probe_failed) {
+      ++score.invisible;
+      continue;
+    }
+    ++visible_trials;
+    const std::vector<graph::EdgeId> candidates =
+        reference_candidates(system, subset, v);
+    candidate_total += static_cast<double>(candidates.size());
+    std::size_t visible_culprits = 0;
+    bool all_found = true;
+    for (std::size_t l = 0; l < v.size(); ++l) {
+      if (!v[l] || !probed[l]) continue;
+      ++visible_culprits;
+      all_found = all_found && std::binary_search(
+                                   candidates.begin(), candidates.end(),
+                                   static_cast<graph::EdgeId>(l));
+    }
+    if (!all_found) {
+      ++score.misled;
+    } else if (candidates.size() == visible_culprits) {
+      ++score.exact;
+    } else {
+      ++score.ambiguous;
+    }
+  }
+  score.mean_candidates =
+      visible_trials == 0
+          ? 0.0
+          : candidate_total / static_cast<double>(visible_trials);
+  return score;
+}
+
+TEST(Localization, IndexedScoringMatchesThePerTrialLoop) {
+  const exp::Workload w = exp::make_custom_workload(40, 80, 60, 19, 5.0);
+  for (const auto& subset : reference_subsets(*w.system)) {
+    for (const std::size_t k : {1, 2, 3}) {
+      Rng got_rng(40 + k);
+      Rng want_rng(40 + k);
+      const auto got = tomo::score_localization(*w.system, subset,
+                                                *w.failures, 200, got_rng, k);
+      const auto want =
+          reference_score(*w.system, subset, *w.failures, 200, want_rng, k);
+      const std::string where = std::to_string(subset.size()) +
+                                " probes, " + std::to_string(k) + " failures";
+      EXPECT_EQ(got.trials, want.trials) << where;
+      EXPECT_EQ(got.exact, want.exact) << where;
+      EXPECT_EQ(got.ambiguous, want.ambiguous) << where;
+      EXPECT_EQ(got.misled, want.misled) << where;
+      EXPECT_EQ(got.invisible, want.invisible) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_candidates),
+                std::bit_cast<std::uint64_t>(want.mean_candidates))
+          << where;
+      EXPECT_EQ(got_rng.next_word(), want_rng.next_word()) << where;
+    }
+  }
 }
 
 TEST(Localization, RobustSelectionLocalizesBetterThanTinyOne) {

@@ -264,7 +264,7 @@ TEST(DenseReference, RowSpaceIdentifiabilityMatchesNullSpace) {
   for (int trial = 0; trial < 60; ++trial) {
     const linalg::Matrix m = random_binary_matrix(
         1 + rng.index(10), 1 + rng.index(12), 0.3, rng);
-    EXPECT_EQ(linalg::row_space(m).identifiable, null_space_identifiable(m))
+    EXPECT_EQ(row_space(m).identifiable, null_space_identifiable(m))
         << "trial " << trial;
   }
 }

@@ -1,10 +1,14 @@
 // Tests for the tomography layer: path matrix construction, survivor
 // queries, monitor placement / candidate path generation, the paper's
-// probing cost model, and link identifiability.
+// probing cost model, link identifiability, and the per-request class row
+// spaces forked from one sparse basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "failures/failure_model.h"
 #include "graph/generators.h"
@@ -12,7 +16,10 @@
 #include "tomo/cost_model.h"
 #include "tomo/identifiability.h"
 #include "tomo/monitors.h"
+#include "testkit/dense_reference.h"
+#include "testkit/oracles.h"
 #include "tomo/path_system.h"
+#include "tomo/row_classes.h"
 #include "util/rng.h"
 
 namespace rnt::tomo {
@@ -288,6 +295,191 @@ TEST(Identifiability, IdentifiabilityNeverExceedsRank) {
     EXPECT_LE(identifiable_links(sys, survivors).size(),
               sys.rank_of(survivors));
   }
+}
+
+// --------------------------------------------------------------------------
+// class_row_spaces
+// --------------------------------------------------------------------------
+
+/// One single-link path per link 0..3 plus p4 = {l0, l1} and p5 = {l2, l3}.
+PathSystem unit_system() {
+  std::vector<ProbePath> paths;
+  for (const std::vector<graph::EdgeId>& links :
+       std::vector<std::vector<graph::EdgeId>>{
+           {0}, {1}, {2}, {3}, {0, 1}, {2, 3}}) {
+    ProbePath p;
+    p.links = links;
+    p.hops = links.size();
+    paths.push_back(p);
+  }
+  return PathSystem(4, paths);
+}
+
+std::vector<linalg::RowSpace> spaces_of(
+    const PathSystem& system,
+    const std::vector<std::vector<std::size_t>>& class_rows,
+    bool identifiable = true) {
+  RowClasses classes;
+  for (const auto& rows : class_rows) classes.intern(rows);
+  return class_row_spaces(system, classes, identifiable);
+}
+
+/// Rank and identifiable links of `rows` from a dense pass of their own.
+void expect_dense(const PathSystem& system,
+                  const std::vector<std::size_t>& rows,
+                  const linalg::RowSpace& got, const std::string& where) {
+  EXPECT_EQ(got.rank, testkit::dense_rank(system, rows)) << where;
+  EXPECT_EQ(got.identifiable, testkit::dense_identifiable(system, rows))
+      << where;
+}
+
+TEST(ClassRowSpaces, ClassesForkWhereTheirRowsLeaveTheRoot) {
+  const PathSystem sys = unit_system();
+  const std::vector<std::vector<std::size_t>> rows = {
+      {0, 4, 1, 2, 3},  // root: rank 4, every link identifiable
+      {4, 1, 2, 3},     // first row failed: forks at prefix 0
+      {0, 4, 2, 3},     // forks after a dependent-free prefix of rank 2
+      {0, 4, 1},        // a prefix of the root
+      {0, 1, 2, 3},     // full rank without p4
+      {}};              // every row failed
+  const std::vector<linalg::RowSpace> spaces = spaces_of(sys, rows);
+  ASSERT_EQ(spaces.size(), rows.size());
+  const std::vector<std::size_t> expected_rank = {4, 4, 4, 2, 4, 0};
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    EXPECT_EQ(spaces[c].rank, expected_rank[c]) << "class " << c;
+    expect_dense(sys, rows[c], spaces[c], "class " + std::to_string(c));
+  }
+  EXPECT_EQ(spaces[3].identifiable, (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(spaces[5].identifiable.empty());
+}
+
+TEST(ClassRowSpaces, ForkAtPrefixZeroDropsTheFailedFirstRow) {
+  const PathSystem sys = unit_system();
+  // Root p0, p1, p2, p3; the class loses p0, the root's first row, so its
+  // basis must hold none of the root's rows.
+  const std::vector<linalg::RowSpace> spaces =
+      spaces_of(sys, {{0, 1, 2, 3}, {1, 2, 3}, {0, 2, 3}});
+  EXPECT_EQ(spaces[1].rank, 3u);
+  EXPECT_EQ(spaces[1].identifiable, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(spaces[2].rank, 3u);
+  EXPECT_EQ(spaces[2].identifiable, (std::vector<std::size_t>{0, 2, 3}));
+}
+
+TEST(ClassRowSpaces, EachClassIsPrunedByTheRootOnly) {
+  const PathSystem sys = unit_system();
+  // Classes 1 and 2 identify disjoint links: testing class 2 against
+  // class 1's identifiable set would lose {2, 3}.
+  const std::vector<std::vector<std::size_t>> rows = {
+      {0, 1, 2, 3, 4, 5}, {0, 1}, {2, 3}, {1, 5}, {4, 5}};
+  const std::vector<linalg::RowSpace> spaces = spaces_of(sys, rows);
+  EXPECT_EQ(spaces[1].identifiable, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(spaces[2].identifiable, (std::vector<std::size_t>{2, 3}));
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    expect_dense(sys, rows[c], spaces[c], "class " + std::to_string(c));
+  }
+}
+
+TEST(ClassRowSpaces, SubsetListingAPathTwice) {
+  const PathSystem sys = unit_system();
+  const std::vector<std::vector<std::size_t>> rows = {
+      {4, 0, 4, 1, 2}, {4, 4, 1, 2}, {0, 1, 2}, {4, 4}};
+  const std::vector<linalg::RowSpace> spaces = spaces_of(sys, rows);
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    expect_dense(sys, rows[c], spaces[c], "class " + std::to_string(c));
+  }
+  EXPECT_EQ(spaces[0].rank, 3u);
+  EXPECT_EQ(spaces[3].rank, 1u);
+}
+
+TEST(ClassRowSpaces, RankOnlyLeavesIdentifiabilityEmpty) {
+  const PathSystem sys = unit_system();
+  const std::vector<linalg::RowSpace> spaces =
+      spaces_of(sys, {{0, 1, 4}, {1, 4}}, /*identifiable=*/false);
+  EXPECT_EQ(spaces[0].rank, 2u);
+  EXPECT_EQ(spaces[1].rank, 2u);
+  EXPECT_TRUE(spaces[0].identifiable.empty());
+  EXPECT_TRUE(spaces[1].identifiable.empty());
+  EXPECT_TRUE(spaces_of(sys, {}).empty());
+}
+
+TEST(ClassRowSpaces, RejectsAClassWithARowOutsideTheRoot) {
+  const PathSystem sys = unit_system();
+  EXPECT_THROW(spaces_of(sys, {{0, 1}, {0, 2}}), std::invalid_argument);
+}
+
+TEST(ClassRowSpaces, SampledClassesMatchDenseAndExactReferees) {
+  Rng rng(23);
+  graph::Graph g = graph::build_isp_like(40, 80, rng);
+  const PathSystem sys = build_path_system(g, 60, rng);
+  const auto model = failures::markopoulou_model(g.edge_count(), rng, 8.0);
+  std::vector<std::size_t> subset(sys.path_count());
+  std::iota(subset.begin(), subset.end(), std::size_t{0});
+  rng.shuffle(subset);
+  subset.resize(40);
+  subset.push_back(subset[3]);  // a path listed twice
+  RowClasses classes;
+  classes.intern(subset);
+  for (int s = 0; s < 60; ++s) {
+    classes.intern(sys.surviving_rows(subset, model.sample(rng)));
+  }
+  ASSERT_GT(classes.size(), 10u);
+  const std::vector<linalg::RowSpace> spaces =
+      class_row_spaces(sys, classes, /*identifiable=*/true);
+  const std::vector<linalg::RowSpace> ranks =
+      class_row_spaces(sys, classes, /*identifiable=*/false);
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const std::vector<std::size_t>& rows = classes.rows(c);
+    const std::string where = "class " + std::to_string(c);
+    expect_dense(sys, rows, spaces[c], where);
+    EXPECT_EQ(ranks[c].rank, spaces[c].rank) << where;
+    EXPECT_EQ(sys.rank_of(rows), spaces[c].rank) << where;
+    std::vector<std::vector<double>> dense;
+    for (const std::size_t r : rows) {
+      dense.emplace_back(sys.row(r).begin(), sys.row(r).end());
+    }
+    EXPECT_EQ(testkit::exact_rank(dense), spaces[c].rank) << where;
+    EXPECT_EQ(row_space_of(sys, rows).identifiable, spaces[c].identifiable)
+        << where;
+  }
+}
+
+TEST(ClassRowSpaces, ClassesForkConcurrentlyFromOneRoot) {
+  Rng rng(29);
+  graph::Graph g = graph::build_isp_like(40, 80, rng);
+  const PathSystem sys = build_path_system(g, 60, rng);
+  const auto model = failures::markopoulou_model(g.edge_count(), rng, 8.0);
+  std::vector<std::size_t> subset(sys.path_count());
+  std::iota(subset.begin(), subset.end(), std::size_t{0});
+  RowClasses classes;
+  classes.intern(subset);
+  for (int s = 0; s < 60; ++s) {
+    classes.intern(sys.surviving_rows(subset, model.sample(rng)));
+  }
+  const std::vector<linalg::RowSpace> serial =
+      class_row_spaces(sys, classes, /*identifiable=*/true);
+  const ClassRowSpaces root(sys, classes, /*identifiable=*/true);
+  // Each thread walks every class, from its own starting class.
+  constexpr std::size_t kThreads = 3;
+  std::vector<std::vector<linalg::RowSpace>> got(
+      kThreads, std::vector<linalg::RowSpace>(classes.size()));
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = 0; i < classes.size(); ++i) {
+        const std::size_t c = (i + t * 7) % classes.size();
+        got[t][c] = root.space(c);
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      EXPECT_EQ(got[t][c].rank, serial[c].rank) << "class " << c;
+      EXPECT_EQ(got[t][c].identifiable, serial[c].identifiable)
+          << "class " << c;
+    }
+  }
+  EXPECT_THROW(root.space(classes.size()), std::out_of_range);
 }
 
 }  // namespace
