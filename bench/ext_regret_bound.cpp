@@ -15,9 +15,9 @@
 
 #include "bench_common.h"
 #include "core/expected_rank.h"
-#include "core/knapsack.h"
 #include "learning/lsr.h"
 #include "learning/simulator.h"
+#include "testkit/knapsack.h"
 #include "tomo/path_system.h"
 
 namespace rnt::bench {

@@ -8,8 +8,8 @@
 #include <numeric>
 
 #include "testkit/exhaustive.h"
+#include "testkit/knapsack.h"
 #include "core/expected_rank.h"
-#include "core/knapsack.h"
 #include "core/rome.h"
 #include "exp/workload.h"
 #include "learning/lsr.h"

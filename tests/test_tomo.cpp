@@ -1,7 +1,7 @@
 // Tests for the tomography layer: path matrix construction, survivor
 // queries, monitor placement / candidate path generation, the paper's
-// probing cost model, link identifiability, and the per-request class row
-// spaces forked from one sparse basis.
+// probing cost model, link identifiability and coverage, and the
+// per-request class row spaces forked from one sparse basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,9 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/expected_rank.h"
+#include "core/rome.h"
+#include "exp/workload.h"
 #include "failures/failure_model.h"
 #include "graph/generators.h"
 #include "graph/isp_topology.h"
@@ -294,6 +297,37 @@ TEST(Identifiability, IdentifiabilityNeverExceedsRank) {
     const auto survivors = sys.surviving_rows(all, v);
     EXPECT_LE(identifiable_links(sys, survivors).size(),
               sys.rank_of(survivors));
+  }
+}
+
+TEST(Coverage, IdentifiabilityRequiresCoverage) {
+  // Property: every identifiable link is covered.
+  const exp::Workload w = exp::make_custom_workload(40, 80, 60, 3, 5.0);
+  std::vector<std::size_t> all(w.system->path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  core::ProbBoundEr engine(*w.system, *w.failures);
+  const auto sel = core::rome(
+      *w.system, w.costs,
+      0.2 * w.costs.subset_cost(*w.system, all), engine);
+  const auto covered = covered_system(*w.system, sel.paths).links;
+  for (std::size_t l : identifiable_links(*w.system, sel.paths)) {
+    EXPECT_TRUE(std::binary_search(covered.begin(), covered.end(), l));
+  }
+}
+
+TEST(Coverage, RankNeverExceedsCoveredLinks) {
+  // Invariant: the rank of a selection is at most the number of covered
+  // links (nonzero columns) and at most the number of selected paths.
+  for (std::uint64_t seed = 4; seed < 8; ++seed) {
+    const exp::Workload w = exp::make_custom_workload(40, 80, 60, seed, 5.0);
+    std::vector<std::size_t> all(w.system->path_count());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const double budget = 0.1 * w.costs.subset_cost(*w.system, all);
+    core::ProbBoundEr engine(*w.system, *w.failures);
+    const auto sel = core::rome(*w.system, w.costs, budget, engine);
+    const std::size_t rank = w.system->rank_of(sel.paths);
+    EXPECT_LE(rank, covered_system(*w.system, sel.paths).links.size());
+    EXPECT_LE(rank, sel.paths.size());
   }
 }
 
