@@ -49,7 +49,7 @@ std::size_t hybrid_rank(const tomo::PathSystem& system,
                         const std::vector<std::size_t>& subset,
                         const linalg::BitRows& sub,
                         std::span<const std::uint64_t> keep) {
-  linalg::Gf2Basis gf2(system.link_count());
+  linalg::Gf2Basis gf2(sub.cols());
   std::unique_ptr<linalg::IncrementalBasis> exact;
   std::vector<std::size_t> kept;  // Subset positions committed so far.
   bool synced = true;
@@ -86,8 +86,8 @@ std::size_t hybrid_rank(const tomo::PathSystem& system,
 /// and the lazily materialized floating-point fallback.  The mask is
 /// borrowed from the engine's ScenarioClasses (stable heap storage).
 struct ClassBasis {
-  ClassBasis(const std::vector<std::uint64_t>& mask, std::size_t links)
-      : survive_mask(&mask), gf2(links) {}
+  ClassBasis(const std::vector<std::uint64_t>& mask, std::size_t cols)
+      : survive_mask(&mask), gf2(cols) {}
 
   bool survives(std::size_t path) const {
     return (((*survive_mask)[path / 64] >> (path % 64)) & 1u) != 0;
@@ -174,19 +174,41 @@ KernelErEngine::KernelErEngine(const tomo::PathSystem& system,
                                std::vector<failures::FailureVector> scenarios,
                                std::vector<double> weights, std::string name)
     : ScenarioErEngine(system, std::move(scenarios), std::move(weights),
-                       std::move(name)),
-      path_bits_(system.link_count()),
-      failed_bits_(system.link_count()) {
+                       std::move(name)) {
   for (RankMemo& memo : rank_memo_) {
     memo.masks = MaskTable(words_for(system.path_count()));
   }
+  // Covered links, ascending, become columns 0..k-1.  A link no candidate
+  // path crosses is zero in every path row, so dropping it changes no
+  // GF(p) verdict, and a failure there never decides whether a path
+  // survives.
+  constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
+  std::vector<std::uint32_t> column_of(system.link_count(), kUncovered);
+  for (std::size_t p = 0; p < system.path_count(); ++p) {
+    for (const graph::EdgeId l : system.path(p).links) column_of[l] = 0;
+  }
+  std::uint32_t covered = 0;
+  for (std::uint32_t& col : column_of) {
+    if (col != kUncovered) col = covered++;
+  }
+  path_bits_ = linalg::BitRows(covered);
+  failed_bits_ = linalg::BitRows(covered);
+  std::vector<std::uint32_t> cols;
   path_bits_.reserve(system.path_count());
   for (std::size_t p = 0; p < system.path_count(); ++p) {
-    path_bits_.append_indices(system.path(p).links);
+    cols.clear();
+    for (const graph::EdgeId l : system.path(p).links) {
+      cols.push_back(column_of[l]);
+    }
+    path_bits_.append_indices(cols);
   }
   failed_bits_.reserve(scenario_count());
   for (const failures::FailureVector& v : this->scenarios()) {
-    failed_bits_.append_flags(v);
+    cols.clear();
+    for (std::size_t l = 0; l < v.size(); ++l) {
+      if (v[l] && column_of[l] != kUncovered) cols.push_back(column_of[l]);
+    }
+    failed_bits_.append_indices(cols);
   }
 }
 
@@ -253,7 +275,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
   if (n == 0) return ranks;
 
   // Pack the subset rows once; bit i of a keep mask is subset position i.
-  linalg::BitRows sub(system_.link_count());
+  linalg::BitRows sub(path_bits_.cols());
   sub.reserve(subset.size());
   for (std::size_t q : subset) sub.append_words(path_bits_.row(q));
   const std::size_t keep_words = words_for(subset.size());
@@ -482,7 +504,7 @@ class KernelAccumulator : public ErAccumulator {
         memo_(engine.system_.path_count()) {
     classes_.reserve(classes_info_.count());
     for (const auto& mask : classes_info_.masks) {
-      classes_.emplace_back(mask, system_.link_count());
+      classes_.emplace_back(mask, engine.path_bits_.cols());
     }
   }
 
@@ -583,7 +605,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
     bases_.reserve(slices);
     groups_.resize(slices);
     for (std::size_t k = 0; k < slices; ++k) {
-      bases_.emplace_back(system_.link_count());
+      bases_.emplace_back(engine.path_bits_.cols());
       const std::size_t lanes = std::min<std::size_t>(64, n - k * 64);
       LaneGroup all;
       all.mask = lanes == 64 ? ~std::uint64_t{0}
@@ -871,7 +893,7 @@ struct KernelShardAccumulator::Impl {
       const auto [it, inserted] = local_of.emplace(
           g, static_cast<std::uint32_t>(classes.size()));
       if (inserted) {
-        classes.emplace_back(sc.masks[g], engine.system_.link_count());
+        classes.emplace_back(sc.masks[g], engine.path_bits_.cols());
       }
       local_class.push_back(it->second);
     }

@@ -5,8 +5,11 @@
 // elimination with the linalg/bitrank machinery:
 //
 //  (a) every candidate path and every scenario's failed-link set are
-//      packed once into 64-bit word masks, so "does path q survive
-//      scenario v" is a handful of ANDs;
+//      packed once into 64-bit word masks over the *covered* links only
+//      (those some candidate path crosses, renumbered in ascending link
+//      order), so "does path q survive scenario v" is a handful of ANDs
+//      and every GF(p) row, plane and scratch word below spans only
+//      columns a row can touch;
 //  (b) per evaluate() the surviving-row bitmask of each scenario is
 //      deduplicated — scenarios that kill the same subset rows share one
 //      rank computation — and ranks are memoized by surviving-path mask
@@ -203,8 +206,13 @@ class KernelErEngine : public ScenarioErEngine {
       const std::vector<std::size_t>& subset, std::size_t threads,
       std::size_t begin, std::size_t end) const;
 
-  linalg::BitRows path_bits_;    ///< All candidate paths, packed by link.
-  linalg::BitRows failed_bits_;  ///< All scenarios' failed links, packed.
+  /// All candidate paths, packed by covered link: column j is the j-th
+  /// lowest link some candidate path crosses.  Every bit basis and bit row
+  /// of the kernel spans these columns; the float tier keeps link ids.
+  linalg::BitRows path_bits_;
+  /// All scenarios' failed links, packed over the same covered columns.  A
+  /// failed link no path crosses has no column: it kills no path.
+  linalg::BitRows failed_bits_;
 
   KernelMode kernel_mode_ = KernelMode::kAuto;
 

@@ -1,5 +1,6 @@
 #include "core/selectors/lazy_greedy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <queue>
@@ -74,6 +75,13 @@ Selection LazyGreedySelector::select(const tomo::PathSystem& system,
     heap.push({selector_detail::weight_of(g, cost[q]), q, version});
   }
 
+  const auto commit = [&](std::size_t path) {
+    acc->add(path);
+    greedy.paths.push_back(path);
+    greedy.cost += cost[path];
+    ++version;
+    if (stats != nullptr) ++stats->iterations;
+  };
   const auto refresh = [&](Entry& e) {
     e.weight = selector_detail::weight_of(gain_of(e.path), cost[e.path]);
     e.version = version;
@@ -114,11 +122,38 @@ Selection LazyGreedySelector::select(const tomo::PathSystem& system,
     // or stale below the noise window, so top.path is exactly the
     // fitting path rome_eager's full scan would commit next (its scan
     // drops the unaffordable argmaxes ahead of it one round at a time).
-    acc->add(top.path);
-    greedy.paths.push_back(top.path);
-    greedy.cost += cost[top.path];
-    ++version;
-    if (stats != nullptr) ++stats->iterations;
+    commit(top.path);
+    if (top.weight == 0.0) break;
+  }
+
+  // The zero-gain tail.  A fresh top of weight exactly 0 just committed,
+  // so every fitting entry left is fresh at weight <= 0 and sits inside
+  // the next slack window: from here the heap would refresh every fitting
+  // entry once per commit anyway.  A scan in path order does the same
+  // gain calls without the heap, and its strict `>` picks the entry the
+  // heap pops first (highest weight, lowest index on a tie).
+  std::vector<std::size_t> rest;
+  rest.reserve(heap.size());
+  for (; !heap.empty(); heap.pop()) rest.push_back(heap.top().path);
+  std::sort(rest.begin(), rest.end());
+  while (!rest.empty()) {
+    std::size_t kept = 0;  // Fitting paths, compacted to the front.
+    std::size_t best = 0;
+    double best_weight = 0.0;
+    for (const std::size_t q : rest) {
+      if (!fits(q)) continue;
+      const double w = selector_detail::weight_of(gain_of(q), cost[q]);
+      if (kept == 0 || w > best_weight) {
+        best = kept;
+        best_weight = w;
+      }
+      rest[kept++] = q;
+    }
+    rest.resize(kept);
+    if (rest.empty()) break;
+    const std::size_t path = rest[best];
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
+    commit(path);
   }
   greedy.objective = acc->value();
 

@@ -26,6 +26,19 @@
 // the slack window, without refreshing its gain: the budget only
 // shrinks, so it never fits again, and the argmax among fitting paths —
 // the only paths eager's scan can commit — does not depend on it.
+//
+// The zero-gain tail leaves the heap.  Once a fresh top of weight exactly
+// 0 commits, every fitting entry left is fresh at weight <= 0, so each
+// later commit's slack window (floor -1e-9) holds them all and the heap
+// refreshes every fitting entry once per commit: the lazy bound has
+// nothing left to skip.  From there the loop scans the remaining paths in
+// index order once per commit instead, dropping those that no longer fit,
+// refreshing the rest (the same gain calls the heap makes) and committing
+// the first maximum under strict `>`.  Selection, cost, objective and
+// gain_evaluations are the heap's.  A refreshed weight can come back
+// above 0 in the tail only through the float noise slack_of() allows;
+// the scan then still commits the exact argmax, as eager does, and only
+// then can its gain count differ from the heap's.
 #pragma once
 
 #include "core/selectors/selector.h"

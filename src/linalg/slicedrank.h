@@ -81,6 +81,10 @@ class SlicedBasis {
  public:
   static constexpr std::size_t kLanes = 64;
 
+  /// `cols` is the caller's column space: the width of the packed rows it
+  /// will reduce.  Every plane and scratch row spans it, so a caller whose
+  /// rows are zero outside a few columns should renumber them compactly
+  /// first (the kernel engine packs only the links candidate paths cross).
   explicit SlicedBasis(std::size_t cols, SliceLane lane = SliceLane::kAuto);
 
   std::size_t cols() const { return cols_; }
@@ -116,7 +120,7 @@ class SlicedBasis {
 
  private:
   struct Slot {
-    std::uint32_t col = 0;        ///< Pivot column (link index).
+    std::uint32_t col = 0;        ///< Pivot column, below cols_.
     std::uint64_t mask2 = 0;      ///< Instances with a GF(2) pivot here.
     std::uint64_t mask3 = 0;      ///< Instances with a GF(3) pivot here.
     std::size_t plane2 = 0;       ///< Offset into planes2_ (cols_ words).

@@ -1089,10 +1089,25 @@ CheckResult check_optimizer_bounds(const TestInstance& inst,
 // 17. The scenario-sliced kernel is a faithful twin at every layer:
 // per-scenario integer ranks equal the elimination oracle, sliced and
 // scalar kernels produce bitwise-identical ER and accumulator
-// trajectories, and the standalone sliced_ranks driver equals the exact
-// rank referee instance for instance on both the widest and a forced
-// 64-bit lane.
+// trajectories, lazy greedy over the sliced kernel selects what eager
+// selects over the class-level scenario engine (plan-warm's kernel-rome
+// select, zero-gain tail included), and the standalone sliced_ranks
+// driver equals the exact rank referee instance for instance on both the
+// widest and a forced 64-bit lane.
 // --------------------------------------------------------------------------
+
+std::unique_ptr<core::ScenarioErEngine> class_scenario_engine(
+    const tomo::PathSystem& system, const core::KernelErEngine& kernel) {
+  const core::ScenarioClasses& classes = kernel.scenario_classes();
+  std::vector<failures::FailureVector> representatives;
+  representatives.reserve(classes.count());
+  for (const std::size_t s : classes.representative) {
+    representatives.push_back(kernel.scenarios()[s]);
+  }
+  return std::make_unique<core::ScenarioErEngine>(
+      system, std::move(representatives), classes.weights,
+      kernel.name() + "-classes");
+}
 
 CheckResult check_sliced_matches_scenario(const TestInstance& inst,
                                           const FaultPlan& fault) {
@@ -1191,6 +1206,38 @@ CheckResult check_sliced_matches_scenario(const TestInstance& inst,
       return CheckResult::fail(
           "accumulator value: sliced " + fmt(sliced_acc->value()) +
           " drifts from scenario engine " + fmt(scenario_acc->value()));
+    }
+  }
+
+  // Plan-warm's select: lazy greedy over the sliced kernel commits what
+  // eager commits over the class-level scenario engine, bit for bit.  The
+  // full budget ends in a long zero-gain tail; the random one may run out
+  // inside it.
+  const auto classes = class_scenario_engine(inst.system, sliced);
+  double total_cost = 0.0;
+  for (const double c : inst.path_costs) total_cost += c;
+  const auto lazy = core::make_selector("lazy-greedy");
+  const auto eager = core::make_selector("eager");
+  for (const double budget : {total_cost, rng.uniform() * total_cost}) {
+    const core::Selection got =
+        lazy->select(inst.system, inst.costs, budget, sliced);
+    const core::Selection want =
+        eager->select(inst.system, inst.costs, budget, *classes);
+    if (got.paths != want.paths || !same_bits(got.cost, want.cost) ||
+        !same_bits(got.objective, want.objective)) {
+      std::size_t at = 0;
+      while (at < got.size() && at < want.size() &&
+             got.paths[at] == want.paths[at]) {
+        ++at;
+      }
+      return CheckResult::fail(
+          "budget " + fmt(budget) + ": lazy-greedy over the sliced kernel "
+          "selects " + std::to_string(got.size()) + " paths (objective " +
+          fmt(got.objective) + ", cost " + fmt(got.cost) +
+          "), eager over the scenario engine " +
+          std::to_string(want.size()) + " (objective " +
+          fmt(want.objective) + ", cost " + fmt(want.cost) +
+          "); first different commit at " + std::to_string(at));
     }
   }
 

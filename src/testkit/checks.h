@@ -8,9 +8,11 @@
 // a failure replays bit-for-bit from a repro file.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/kernel_er.h"
 #include "testkit/instance.h"
 
 namespace rnt::testkit {
@@ -57,6 +59,17 @@ const Check* find_check(const std::string& name);
 /// Runs one check, converting escaped exceptions into failures.
 CheckResult run_check(const Check& check, const TestInstance& instance,
                       const FaultPlan& fault = {});
+
+/// The bitwise referee of kernel accumulators and kernel selects: a
+/// ScenarioErEngine over one representative scenario per class of
+/// `kernel` (its ScenarioClasses), weighted by the class weight.  It ranks
+/// full link-width float rows per scenario and sums the same weights in
+/// the same order as the kernel accumulators (ascending class), so their
+/// gains, values and greedy selections must equal its own bit for bit.
+/// (The engine over the raw mixture sums per scenario, which rounds
+/// differently.)
+std::unique_ptr<core::ScenarioErEngine> class_scenario_engine(
+    const tomo::PathSystem& system, const core::KernelErEngine& kernel);
 
 // Individual check bodies (also reusable from unit tests).
 CheckResult check_er_monotone_submodular(const TestInstance&,

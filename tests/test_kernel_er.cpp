@@ -6,6 +6,7 @@
 // service's concurrent use of one engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "core/rome.h"
 #include "core/selectors/lazy_greedy.h"
 #include "exp/workload.h"
+#include "testkit/checks.h"
 #include "util/rng.h"
 
 namespace rnt {
@@ -252,6 +254,172 @@ TEST(KernelAccumulator, SlicedForgetsNoIndependentFloatVerdict) {
   scalar.set_kernel_mode(core::KernelMode::kScalar);
   expect_sliced_matches_scalar(sliced, scalar, {0, 1, 2, 3, 4, 5, 6, 8, 7},
                                paths.size());
+}
+
+// ---------------------------------------------------------------------------
+// Covered-column packing: the kernel packs only the links some candidate
+// path crosses, and no answer may notice.
+// ---------------------------------------------------------------------------
+
+/// `kernel` against the scenario engine over its own mixture: evaluate()
+/// and evaluate_parallel() bitwise and scenario_ranks() against the
+/// elimination rank on each subset; then, along `trajectory`, every
+/// path's gain before each add and value() after it, bitwise against
+/// the class-level scenario engine (testkit::class_scenario_engine).
+void expect_kernel_matches_scenario(
+    const tomo::PathSystem& system, const core::KernelErEngine& kernel,
+    const std::vector<std::vector<std::size_t>>& subsets,
+    const std::vector<std::size_t>& trajectory) {
+  const core::ScenarioErEngine scenario(system, kernel.scenarios(),
+                                        kernel.weights(), kernel.name());
+  for (const auto& subset : subsets) {
+    const double reference = scenario.evaluate(subset);
+    EXPECT_EQ(kernel.evaluate(subset), reference);  // Bitwise.
+    EXPECT_EQ(kernel.evaluate_parallel(subset, 3), reference);
+    const auto ranks = kernel.scenario_ranks(subset);
+    for (std::size_t s = 0; s < ranks.size(); ++s) {
+      EXPECT_EQ(ranks[s], system.surviving_rank(subset, kernel.scenarios()[s]))
+          << "scenario " << s;
+    }
+  }
+  const auto referee = testkit::class_scenario_engine(system, kernel);
+  auto expected = referee->make_accumulator();
+  auto acc = kernel.make_accumulator();
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    for (std::size_t q = 0; q < system.path_count(); ++q) {
+      EXPECT_EQ(acc->gain(q), expected->gain(q))
+          << "gain(" << q << ") before add " << i;
+    }
+    acc->add(trajectory[i]);
+    expected->add(trajectory[i]);
+    EXPECT_EQ(acc->value(), expected->value()) << "add " << i;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+std::vector<bool> covered_links(const tomo::PathSystem& system) {
+  std::vector<bool> covered(system.link_count(), false);
+  for (std::size_t p = 0; p < system.path_count(); ++p) {
+    for (const graph::EdgeId l : system.path(p).links) covered[l] = true;
+  }
+  return covered;
+}
+
+// What the link-wide packing built on the case below.
+constexpr std::size_t kAS1239Classes = 30;
+constexpr std::size_t kAS1239SlicedMemo = 145;
+constexpr std::size_t kAS1239ScalarMemo = 67;
+
+// AS1239 at 400 candidate paths: the paths cross 254 of the 972 links, and
+// the service's MC-50 mixture fails links no path crosses.  Both kernels
+// must still answer as the scenario engine does, bit for bit, and build
+// the class structure and rank memo they built over all 972 columns (the
+// counts are pinned from the link-wide packing).
+TEST(KernelErEngine, CoveredColumnsMatchScenarioOnAS1239) {
+  exp::WorkloadSpec spec;
+  spec.topology = graph::IspTopology::kAS1239;
+  spec.candidate_paths = 400;
+  spec.failure_intensity = 5.0;
+  spec.seed = 1000;
+  const exp::Workload w = exp::make_workload(spec);
+  const tomo::PathSystem& system = *w.system;
+  const std::vector<bool> covered = covered_links(system);
+  ASSERT_EQ(system.link_count(), 972u);
+  ASSERT_EQ(std::count(covered.begin(), covered.end(), true), 254);
+
+  Rng rng(w.seed * 101);  // The service's kernel-rome seeding.
+  core::KernelErEngine sliced =
+      core::KernelErEngine::monte_carlo(system, *w.failures, 50, rng);
+  sliced.set_kernel_mode(core::KernelMode::kSliced);
+  core::KernelErEngine scalar(system, sliced.scenarios(), sliced.weights(),
+                              sliced.name());
+  scalar.set_kernel_mode(core::KernelMode::kScalar);
+  std::size_t uncovered_failures = 0;
+  for (const failures::FailureVector& v : sliced.scenarios()) {
+    for (std::size_t l = 0; l < v.size(); ++l) {
+      if (v[l] && !covered[l]) ++uncovered_failures;
+    }
+  }
+  ASSERT_GT(uncovered_failures, 0u);
+
+  std::vector<std::size_t> all(system.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Rng pick(17);
+  const std::vector<std::vector<std::size_t>> subsets = {
+      all, some_subset(system, pick, 40), some_subset(system, pick, 150)};
+  const std::vector<std::size_t> trajectory = some_subset(system, pick, 30);
+  for (const core::KernelErEngine* kernel : {&sliced, &scalar}) {
+    SCOPED_TRACE(core::kernel_mode_name(kernel->kernel_mode()));
+    expect_kernel_matches_scenario(system, *kernel, subsets, trajectory);
+  }
+  EXPECT_EQ(sliced.scenario_classes().count(), kAS1239Classes);
+  EXPECT_EQ(sliced.rank_memo_entries(core::KernelMode::kSliced),
+            kAS1239SlicedMemo);
+  EXPECT_EQ(scalar.rank_memo_entries(core::KernelMode::kScalar),
+            kAS1239ScalarMemo);
+}
+
+/// A ring over links 1..k of k + 2 links, so the covered columns are
+/// exactly 1..k and links 0 and k + 1 carry no path: paths {i, i+1} around
+/// the ring (rationally full rank for odd k, one short for even k, and
+/// one short over GF(2) either way), a chord over every ring link, and a
+/// single-link path at the top covered column.
+tomo::PathSystem ring_system(std::size_t k) {
+  std::vector<tomo::ProbePath> paths;
+  const auto add = [&](std::vector<graph::EdgeId> links) {
+    tomo::ProbePath p;
+    p.hops = links.size();
+    p.links = std::move(links);
+    paths.push_back(std::move(p));
+  };
+  for (std::size_t i = 1; i < k; ++i) {
+    add({static_cast<graph::EdgeId>(i), static_cast<graph::EdgeId>(i + 1)});
+  }
+  add({1, static_cast<graph::EdgeId>(k)});
+  std::vector<graph::EdgeId> chord(k);
+  std::iota(chord.begin(), chord.end(), graph::EdgeId{1});
+  add(std::move(chord));
+  add({static_cast<graph::EdgeId>(k)});
+  return tomo::PathSystem(k + 2, std::move(paths));
+}
+
+// Covered-column counts on either side of a word boundary (64 columns fit
+// one word, 65 need two), with failures on both uncovered links.
+TEST(KernelErEngine, CoveredColumnsAcrossTheWordBoundary) {
+  for (const std::size_t k : {std::size_t{64}, std::size_t{65}}) {
+    SCOPED_TRACE(k);
+    const tomo::PathSystem system = ring_system(k);
+    const std::vector<bool> covered = covered_links(system);
+    ASSERT_EQ(std::count(covered.begin(), covered.end(), true),
+              static_cast<std::ptrdiff_t>(k));
+    ASSERT_FALSE(covered[0]);
+    ASSERT_FALSE(covered[k + 1]);
+    Rng rng(k);
+    std::vector<failures::FailureVector> scenarios;
+    for (int s = 0; s < 70; ++s) {
+      failures::FailureVector v(k + 2, false);
+      v[0] = rng.bernoulli(0.5);
+      v[k + 1] = rng.bernoulli(0.5);
+      for (std::size_t l = 1; l <= k; ++l) v[l] = rng.bernoulli(0.01);
+      scenarios.push_back(std::move(v));
+    }
+    const std::vector<double> weights(scenarios.size(),
+                                      1.0 / 70.0);
+    std::vector<std::size_t> all(system.path_count());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::size_t> trajectory = all;
+    rng.shuffle(trajectory);
+    Rng pick(k + 1);
+    const std::vector<std::vector<std::size_t>> subsets = {
+        all, some_subset(system, pick, k / 2)};
+    for (const core::KernelMode mode :
+         {core::KernelMode::kSliced, core::KernelMode::kScalar}) {
+      SCOPED_TRACE(core::kernel_mode_name(mode));
+      core::KernelErEngine kernel(system, scenarios, weights, "ring");
+      kernel.set_kernel_mode(mode);
+      expect_kernel_matches_scenario(system, kernel, subsets, trajectory);
+    }
+  }
 }
 
 TEST(KernelErEngine, SharedEngineMatchesSerialFreshEnginesUnderThreads) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <sstream>
 #include <stdexcept>
@@ -331,6 +332,74 @@ TEST(LazyGreedy, GainMemoDoesNotLeakBetweenRuns) {
   EXPECT_EQ(first.objective, second.objective);
   EXPECT_EQ(first.paths, eager.paths);
   EXPECT_EQ(first.objective, eager.objective);
+}
+
+// Gain evaluations the heap-only loop made on the two tail cases below.
+constexpr std::size_t kTailFullBudgetEvaluations = 301;
+constexpr std::size_t kTailPartBudgetEvaluations = 232;
+
+/// What one lazy-greedy run on a TailCase did.
+struct TailRun {
+  std::size_t size = 0;         ///< Paths committed.
+  std::size_t zeros = 0;        ///< Of them, commits at gain exactly 0.
+  std::size_t evaluations = 0;  ///< Gain evaluations.
+};
+
+/// Plan-warm's kernel-rome shape, small: a sliced MC-50 kernel engine
+/// whose rank saturates early, so a large budget leaves a long run of
+/// commits at weight exactly 0 (lazy greedy's zero-gain tail).
+struct TailCase {
+  exp::Workload w = exp::make_custom_workload(20, 40, 48, 5, 5.0);
+  std::unique_ptr<core::KernelErEngine> engine;
+
+  TailCase() {
+    Rng rng(w.seed * 101);
+    engine = std::make_unique<core::KernelErEngine>(
+        core::KernelErEngine::monte_carlo(*w.system, *w.failures, 50, rng));
+    engine->set_kernel_mode(core::KernelMode::kSliced);
+  }
+
+  /// Lazy greedy at `budget`, checked bitwise against eager.
+  TailRun run(double budget) const {
+    core::SelectorStats stats;
+    const core::Selection lazy = core::LazyGreedySelector().select(
+        *w.system, w.costs, budget, *engine, &stats);
+    const core::Selection eager =
+        core::rome_eager(*w.system, w.costs, budget, *engine);
+    EXPECT_EQ(lazy.paths, eager.paths);
+    EXPECT_EQ(lazy.objective, eager.objective);  // Bitwise.
+    EXPECT_EQ(lazy.cost, eager.cost);            // Bitwise.
+    TailRun r;
+    r.size = lazy.size();
+    r.evaluations = stats.gain_evaluations;
+    auto acc = engine->make_accumulator();
+    for (const std::size_t p : lazy.paths) {
+      if (acc->gain(p) == 0.0) ++r.zeros;
+      acc->add(p);
+    }
+    return r;
+  }
+};
+
+// Every path fits: after saturation every remaining path commits at
+// weight 0, and the tail scan must make exactly the gain calls the heap
+// loop it replaced made (the pinned count).
+TEST(LazyGreedy, ZeroGainTailCommitsEverythingAsTheHeapDid) {
+  const TailCase c;
+  const TailRun r = c.run(workload_total_cost(c.w));
+  EXPECT_EQ(r.size, c.w.system->path_count());
+  EXPECT_GE(3 * r.zeros, r.size);  // A third of the run is the tail.
+  EXPECT_EQ(r.evaluations, kTailFullBudgetEvaluations);
+}
+
+// The budget runs out partway through the tail: paths that no longer fit
+// drop out of the scan unrefreshed, as they dropped out of the heap.
+TEST(LazyGreedy, ZeroGainTailBudgetRunsOutMidway) {
+  const TailCase c;
+  const TailRun r = c.run(0.7 * workload_total_cost(c.w));
+  EXPECT_LT(r.size, c.w.system->path_count());
+  EXPECT_GT(r.zeros, 0u);
+  EXPECT_EQ(r.evaluations, kTailPartBudgetEvaluations);
 }
 
 // --------------------------------------------------------------------------
