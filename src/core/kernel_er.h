@@ -42,24 +42,22 @@
 // verdict, or the path's own commit — and never asks about them again:
 // a path in the span of the committed rows stays there as they grow.
 //
-// Cluster entry points.  The engine also exposes the integer halves of
-// its computation so a coordinator can shard work across processes while
-// staying bitwise identical to a single-node run:
+// Integer slice primitives.  The service's shard verbs answer with the
+// integer halves of the engine's computation over a scenario slice, and
+// a client that holds every slice merges them without any float step of
+// its own:
 //
 //  - slice_ranks() returns the exact integer surviving rank of each
-//    scenario in a contiguous slice [begin, end) — workers ship integers,
-//    and reduce_ranks() applies the engine's own fixed chunked float
-//    reduction to the merged full table, so the summation tree (and hence
-//    the bits of the result) cannot depend on how scenarios were sharded.
+//    scenario in a contiguous slice [begin, end).  Concatenated in
+//    scenario order, the slices are scenario_ranks() of the subset.
 //  - scenario_classes() is the deduplicated class structure the
 //    accumulator walks, in global first-appearance order.
 //  - make_shard_accumulator() is a slice-local accumulator whose
 //    probe()/add() answers are one *bit* per scenario (survives AND
 //    independent of the committed selection in its class basis).  A class
-//    confined to identical masks walks the identical basis trajectory on
-//    any host, so a coordinator that sums class weights over those bits in
-//    global class order reproduces KernelAccumulator::gain()/value()
-//    bitwise regardless of sharding or failover.
+//    confined to identical masks walks the identical basis trajectory in
+//    any slice, so summing class weights over those bits in global class
+//    order reproduces KernelAccumulator::gain()/value() bitwise.
 #pragma once
 
 #include <array>
@@ -171,24 +169,17 @@ class KernelErEngine : public ScenarioErEngine {
       const std::vector<std::size_t>& subset) const;
 
   /// Integer surviving rank for scenarios [begin, end) only (position i of
-  /// the result is scenario begin + i) — the cluster shard-eval primitive.
+  /// the result is scenario begin + i) — the shard-eval primitive.
   /// Shares the cross-call rank memo with the full evaluate paths.
   std::vector<std::size_t> slice_ranks(const std::vector<std::size_t>& subset,
                                        std::size_t begin,
                                        std::size_t end) const;
 
-  /// The deterministic chunked reduction evaluate() applies to its own
-  /// full per-scenario rank table.  Merging shard slices into scenario
-  /// order and reducing here is bitwise identical to a single-node
-  /// evaluate(), because the float summation tree is fixed by scenario
-  /// index alone.
-  double reduce_ranks(const std::vector<std::size_t>& ranks) const;
-
   /// The accumulator's scenario-class structure, built once on first use
   /// and cached (thread-safe; the engine is shared const by the service).
   const ScenarioClasses& scenario_classes() const;
 
-  /// Slice-local accumulator for distributed RoMe sweeps; see
+  /// Slice-local accumulator behind the shard-sweep verb; see
   /// KernelShardAccumulator.  Requires begin <= end <= scenario_count().
   std::unique_ptr<KernelShardAccumulator> make_shard_accumulator(
       std::size_t begin, std::size_t end) const;
@@ -197,6 +188,11 @@ class KernelErEngine : public ScenarioErEngine {
   friend class KernelAccumulator;
   friend class SlicedKernelAccumulator;
   friend class KernelShardAccumulator;
+
+  /// The deterministic chunked reduction evaluate() applies to its full
+  /// per-scenario rank table: the float summation tree is fixed by
+  /// scenario index alone.
+  double reduce_ranks(const std::vector<std::size_t>& ranks) const;
 
   /// Shared core of the evaluate paths: packs the subset rows, dedups the
   /// per-scenario surviving masks over scenarios [begin, end), ranks each
@@ -244,13 +240,13 @@ class KernelErEngine : public ScenarioErEngine {
 /// the same class-basis machinery, but the answers are packed bits — bit
 /// i of a probe()/add() reply is scenario begin + i, set iff the path
 /// survives that scenario AND is independent of the committed selection
-/// in the scenario's class basis.  Bits are exact {0, 1} integers, so a
-/// coordinator summing class weights over them in fixed global class
-/// order reproduces the single-node accumulator's gain() and value()
-/// bitwise, no matter how scenarios are sharded or which worker answers.
+/// in the scenario's class basis.  Bits are exact {0, 1} integers, so
+/// summing class weights over every slice's bits in fixed global class
+/// order reproduces the whole-range accumulator's gain() and value()
+/// bitwise, however the scenarios are sliced.
 /// Always runs the scalar per-class bases regardless of the engine's
 /// KernelMode — its replies are exact {0, 1} bits either way, and the
-/// kernels agree on every verdict, so coordinator sums are unaffected.
+/// kernels agree on every verdict, so merged sums are unaffected.
 /// Not thread-safe; callers (the service's sweep sessions) serialize.
 class KernelShardAccumulator {
  public:

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace rnt::service {
 namespace {
@@ -32,26 +31,14 @@ TcpClient::TcpClient(const std::string& host, std::uint16_t port,
     : host_(host == "localhost" ? "127.0.0.1" : host),
       port_(port),
       options_(options) {
-  // Same bounded-retry ladder as call_line: the constructor's connect is
-  // just attempt zero of the first call.
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      connect_once();
-      return;
-    } catch (const std::runtime_error&) {
-      if (attempt >= options_.retries) throw;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.backoff_s * static_cast<double>(std::size_t{1} << attempt)));
-    }
-  }
+  connect_to_server();
 }
 
 TcpClient::TcpClient(const std::string& host, std::uint16_t port,
                      double timeout_s)
     : TcpClient(host, port,
                 ClientOptions{.connect_timeout_s = timeout_s,
-                              .reply_timeout_s = timeout_s,
-                              .retries = 0}) {}
+                              .reply_timeout_s = timeout_s}) {}
 
 TcpClient::~TcpClient() { disconnect(); }
 
@@ -63,8 +50,7 @@ void TcpClient::disconnect() {
   buffer_.clear();
 }
 
-void TcpClient::connect_once() {
-  disconnect();
+void TcpClient::connect_to_server() {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
@@ -134,20 +120,14 @@ Response TcpClient::call(const Request& request) {
 }
 
 std::string TcpClient::call_line(const std::string& line) {
-  const std::string framed = line + "\n";
-  for (std::size_t tries = 0;; ++tries) {
-    try {
-      if (fd_ < 0) {
-        connect_once();
-        ++reconnects_;
-      }
-      return attempt(framed);
-    } catch (const std::runtime_error&) {
-      disconnect();
-      if (tries >= options_.retries) throw;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.backoff_s * static_cast<double>(std::size_t{1} << tries)));
-    }
+  if (fd_ < 0) {
+    throw TransportError("connection closed by an earlier failed call");
+  }
+  try {
+    return attempt(line + "\n");
+  } catch (const std::runtime_error&) {
+    disconnect();
+    throw;
   }
 }
 

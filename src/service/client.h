@@ -1,17 +1,14 @@
 // Blocking TCP client for the tomography service's line protocol, with
-// explicit deadlines and bounded retry.
+// explicit deadlines.
 //
-// Every stage of a call is time-bounded: connects run non-blocking under
-// `connect_timeout_s` (a dead or blackholed server cannot park the caller
-// in the kernel's minutes-long default), and replies are bounded by
+// Every stage of a call is time-bounded: the connect runs non-blocking
+// under `connect_timeout_s` (a dead or blackholed server cannot park the
+// caller in the kernel's minutes-long default), and replies are bounded by
 // `reply_timeout_s` via SO_RCVTIMEO/SO_SNDTIMEO.  A failed call tears the
-// connection down and — when `retries` allows — reconnects and re-sends
-// after an exponentially growing backoff.  Retries re-send the same line,
-// so they are only safe against idempotent handlers; every service verb
-// (including the cluster shard verbs, which memoize `add` replies) is.
+// connection down, so a late reply can never be read as the answer to a
+// later request; every call after that throws TransportError.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -22,9 +19,10 @@ namespace rnt::service {
 
 /// A connection-level failure: the peer closed or reset the connection
 /// (EOF mid-reply, ECONNRESET, EPIPE) or a socket operation failed
-/// outright.  Derives from std::runtime_error so existing catch sites —
-/// including the client's own retry ladder — keep working; callers that
-/// care can distinguish it from timeouts and protocol errors.
+/// outright, or an earlier failed call already closed the connection.
+/// Derives from std::runtime_error so generic catch sites keep working;
+/// callers that care can distinguish it from timeouts and protocol
+/// errors.
 class TransportError : public std::runtime_error {
  public:
   explicit TransportError(const std::string& what)
@@ -32,21 +30,18 @@ class TransportError : public std::runtime_error {
 };
 
 struct ClientOptions {
-  double connect_timeout_s = 5.0;  ///< Per connect attempt.
+  double connect_timeout_s = 5.0;  ///< Bounds the connect.
   double reply_timeout_s = 60.0;   ///< Per send/recv while awaiting a reply.
-  std::size_t retries = 0;         ///< Extra attempts after a failure.
-  double backoff_s = 0.05;         ///< Pre-retry sleep; doubles per retry.
 };
 
 class TcpClient {
  public:
   /// Connects to host:port (host: dotted IPv4 or "localhost"); throws
-  /// std::runtime_error when every connect attempt fails.
+  /// std::runtime_error when the connect fails or times out.
   TcpClient(const std::string& host, std::uint16_t port,
             ClientOptions options);
 
-  /// Legacy form: one connect attempt, `timeout_s` bounding both the
-  /// connect and each reply wait.
+  /// `timeout_s` bounds both the connect and each reply wait.
   TcpClient(const std::string& host, std::uint16_t port,
             double timeout_s = 60.0);
 
@@ -55,22 +50,19 @@ class TcpClient {
   TcpClient(const TcpClient&) = delete;
   TcpClient& operator=(const TcpClient&) = delete;
 
-  /// Sends one request and waits for its reply line.  After exhausting
-  /// the configured retries, throws TransportError when the connection
-  /// died under the call (peer closed mid-reply, ECONNRESET, EPIPE) and
-  /// plain std::runtime_error for timeouts.
+  /// Sends one request and waits for its reply line.  Throws
+  /// TransportError when the connection died under the call (peer closed
+  /// mid-reply, ECONNRESET, EPIPE) or an earlier call failed, and plain
+  /// std::runtime_error for timeouts.
   Response call(const Request& request);
 
   /// Raw form: sends `line` verbatim (newline appended) and returns the
   /// reply line.
   std::string call_line(const std::string& line);
 
-  /// Times the connection was re-established after a failure.
-  std::size_t reconnects() const { return reconnects_; }
-
  private:
-  /// One bounded connect attempt; throws on failure.
-  void connect_once();
+  /// Bounded connect; throws on failure.
+  void connect_to_server();
   /// One send+receive on the live connection; throws on failure.
   std::string attempt(const std::string& framed);
   void disconnect();
@@ -80,7 +72,6 @@ class TcpClient {
   ClientOptions options_;
   int fd_ = -1;
   std::string buffer_;  ///< Bytes received past the last reply line.
-  std::size_t reconnects_ = 0;
 };
 
 }  // namespace rnt::service

@@ -10,7 +10,7 @@
 namespace rnt::service {
 namespace {
 
-constexpr std::array<std::pair<RequestType, const char*>, 16> kVerbs{{
+constexpr std::array<std::pair<RequestType, const char*>, 15> kVerbs{{
     {RequestType::kSelect, "select"},
     {RequestType::kErEval, "er-eval"},
     {RequestType::kIdentifiability, "identifiability"},
@@ -20,7 +20,6 @@ constexpr std::array<std::pair<RequestType, const char*>, 16> kVerbs{{
     {RequestType::kFeed, "feed"},
     {RequestType::kReplan, "replan"},
     {RequestType::kPipelineStats, "pipeline-stats"},
-    {RequestType::kWorkerHello, "worker-hello"},
     {RequestType::kHeartbeat, "heartbeat"},
     {RequestType::kShardEval, "shard-eval"},
     {RequestType::kShardSweep, "shard-sweep"},
@@ -80,8 +79,7 @@ void parse_param(const std::string& token,
   }
 }
 
-}  // namespace
-
+/// Shortest rendering of a double that parses back to the identical bits.
 std::string format_double(double value) {
   std::array<char, 32> buf{};
   std::snprintf(buf.data(), buf.size(), "%.17g", value);
@@ -93,6 +91,8 @@ std::string format_double(double value) {
   }
   return buf.data();
 }
+
+}  // namespace
 
 const char* to_verb(RequestType type) {
   for (const auto& [t, verb] : kVerbs) {

@@ -7,8 +7,8 @@
 //   request  = verb *( SP key "=" value )
 //   verb     = "select" | "er-eval" | "identifiability" | "localize"
 //            | "localize-node" | "infer" | "feed" | "replan"
-//            | "pipeline-stats" | "worker-hello" | "heartbeat"
-//            | "shard-eval" | "shard-sweep" | "stats" | "ping" | "shutdown"
+//            | "pipeline-stats" | "heartbeat" | "shard-eval"
+//            | "shard-sweep" | "stats" | "ping" | "shutdown"
 //   reply    = "ok" *( SP key "=" value ) | "error" SP message
 //   key      = 1*( ALPHA | DIGIT | "-" | "_" | "." )
 //   value    = 1*( any char except SP / TAB / CR / LF )
@@ -37,8 +37,7 @@ enum class RequestType {
   kFeed,           ///< Telemetry into the workload's adaptive session.
   kReplan,         ///< Warm-start re-selection from the estimated model.
   kPipelineStats,  ///< Adaptive-session counters and estimates.
-  kWorkerHello,    ///< Cluster handshake: identity + capacity of a worker.
-  kHeartbeat,      ///< Cheap liveness probe for the cluster coordinator.
+  kHeartbeat,      ///< Cheap liveness probe: request and sweep counts.
   kShardEval,      ///< Integer scenario ranks for a contiguous slice.
   kShardSweep,     ///< Slice-local sweep session: init/probe/add/end.
   kStats,
@@ -107,12 +106,6 @@ Response parse_response(const std::string& line);
 
 /// Formats a reply as one line (no trailing newline).
 std::string format_response(const Response& response);
-
-/// Shortest rendering of a double that parses back to the identical bits
-/// (the encoding Response::set(double) uses).  Exposed so request
-/// parameters (e.g. the cluster coordinator's intensity=) survive the
-/// wire round trip exactly.
-std::string format_double(double value);
 
 /// Hex encoding for packed bit vectors carried in shard-sweep replies:
 /// each 64-bit word renders as 16 lowercase hex digits, least-significant

@@ -1,7 +1,5 @@
 #include "service/service.h"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -49,12 +47,14 @@ std::size_t positive_count(const Request& request, const std::string& key,
   return n;
 }
 
-/// A verb's `scenarios`: positive, and at most `cap`.
-std::size_t scenario_count(const Request& request, std::size_t def,
-                           std::size_t cap, const std::string& verb) {
-  const std::size_t n = positive_count(request, "scenarios", def, verb);
+/// A scenario-count parameter: positive, and at most `cap`; a larger value
+/// is answered with "<verb>: <key> must be at most <cap>".
+std::size_t capped_count(const Request& request, const std::string& key,
+                         std::size_t def, std::size_t cap,
+                         const std::string& verb) {
+  const std::size_t n = positive_count(request, key, def, verb);
   if (n > cap) {
-    throw std::invalid_argument(verb + ": scenarios must be at most " +
+    throw std::invalid_argument(verb + ": " + key + " must be at most " +
                                 std::to_string(cap));
   }
   return n;
@@ -362,8 +362,8 @@ Response Service::dispatch(const Request& request) {
     }
     case RequestType::kErEval: {
       exp::EvalOptions opts;
-      opts.scenarios =
-          scenario_count(request, 200, kMaxErEvalScenarios, "er-eval");
+      opts.scenarios = capped_count(request, "scenarios", 200,
+                                    kMaxErEvalScenarios, "er-eval");
       opts.identifiability = false;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
@@ -391,8 +391,9 @@ Response Service::dispatch(const Request& request) {
     }
     case RequestType::kIdentifiability: {
       exp::EvalOptions opts;
-      opts.scenarios = scenario_count(
-          request, 200, kMaxIdentifiabilityScenarios, "identifiability");
+      opts.scenarios =
+          capped_count(request, "scenarios", 200,
+                       kMaxIdentifiabilityScenarios, "identifiability");
       opts.identifiability = true;
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
@@ -514,17 +515,6 @@ Response Service::dispatch(const Request& request) {
       r.set("selected", session->replanner.current().size());
       return r;
     }
-    case RequestType::kWorkerHello: {
-      // Cluster handshake: identity and capacity, cheap enough to double
-      // as a liveness check during coordinator start-up.
-      request.get("client", "");  // Optional coordinator name, for logs.
-      Response r;
-      r.set("worker", std::size_t{1});
-      r.set("pid", static_cast<std::size_t>(::getpid()));
-      r.set("threads", pool_.size());
-      r.set("cache-capacity", cache_.capacity());
-      return r;
-    }
     case RequestType::kHeartbeat: {
       const ServiceMetrics::Snapshot m = metrics_.snapshot();
       Response r;
@@ -534,7 +524,8 @@ Response Service::dispatch(const Request& request) {
       return r;
     }
     case RequestType::kShardEval: {
-      const auto runs = positive_count(request, "runs", 50, "shard-eval");
+      const auto runs =
+          capped_count(request, "runs", 50, kMaxErEvalScenarios, "shard-eval");
       const auto cw = cache_.get(key_from(request));
       const core::KernelErEngine& engine = cw->kernel_engine(
           runs, core::parse_kernel_mode(request.get("kernel", "auto")));
@@ -591,8 +582,9 @@ Response Service::dispatch(const Request& request) {
             "localize-node: family must be node or link");
       }
       const auto k = positive_count(request, "k", 2, "localize-node");
-      const auto trials = scenario_count(
-          request, 300, kMaxLocalizeNodeScenarios, "localize-node");
+      const auto trials = capped_count(request, "scenarios", 300,
+                                       kMaxLocalizeNodeScenarios,
+                                       "localize-node");
       const auto ident_cap = request.get_count("ident-cap", 0);
       Rng rng = w.eval_rng();
       const auto score = boolnt::score_multi_localization(
@@ -635,8 +627,8 @@ Response Service::dispatch(const Request& request) {
         throw std::invalid_argument(
             "infer: noise must be finite and non-negative");
       }
-      config.scenarios =
-          scenario_count(request, 200, kMaxInferScenarios, "infer");
+      config.scenarios = capped_count(request, "scenarios", 200,
+                                      kMaxInferScenarios, "infer");
       // One solver worker: handler concurrency already comes from the
       // request pool, and threads=1 keeps per-request latency honest.
       config.threads = 1;
@@ -680,14 +672,14 @@ Response Service::handle_shard_sweep(const Request& request) {
   if (begin < 0 || end < begin) {
     throw std::invalid_argument("shard-sweep: bad begin=/end= slice");
   }
-  // Sessions are keyed by id *and* slice: after failover the replacement
-  // worker re-creates exactly the slice it inherited, and two slices of
-  // one sweep landing on the same worker stay independent.
+  // Sessions are keyed by id *and* slice, so two slices of one sweep on
+  // the same service stay independent.
   const std::string key = sweep + "/" + std::to_string(begin) + "-" +
                           std::to_string(end);
 
   if (op == "init") {
-    const auto runs = positive_count(request, "runs", 50, "shard-sweep");
+    const auto runs = capped_count(request, "runs", 50, kMaxErEvalScenarios,
+                                   "shard-sweep");
     const auto cw = cache_.get(key_from(request));
     const core::KernelErEngine& engine = cw->kernel_engine(
         runs, core::parse_kernel_mode(request.get("kernel", "auto")));
@@ -698,8 +690,8 @@ Response Service::handle_shard_sweep(const Request& request) {
     session->workload = cw;
     session->shard = engine.make_shard_accumulator(
         static_cast<std::size_t>(begin), static_cast<std::size_t>(end));
-    // Replay the committed selection so a session re-created after
-    // failover holds the exact basis state of the one it replaces.
+    // Replay the committed selection so a re-created session holds the
+    // exact basis state of the one it replaces.
     const std::string committed_csv = request.get("committed", "");
     if (!committed_csv.empty()) {
       for (std::size_t p :

@@ -16,14 +16,17 @@
 // CachedWorkload with a shared_ptr, so LRU eviction from the cache never
 // invalidates a live session's PathSystem or cost model.
 //
-// The cluster verbs (`worker-hello`, `heartbeat`, `shard-eval`,
-// `shard-sweep`) make the service usable as a cluster worker: shard-eval
-// returns exact integer scenario ranks for a contiguous slice, and
-// shard-sweep runs a slice-local KernelShardAccumulator session keyed by
-// "<sweep-id>/<begin>-<end>".  Sweep sessions are idempotent under retry
-// (a re-sent `add` returns the stored bits instead of re-committing) and
-// re-creatable after failover (`init` replays the committed path list),
-// so at-least-once RPC delivery cannot change any answer.
+// The shard verbs answer integer slices of the kernel ER engine's work.
+// `shard-eval` returns the exact surviving rank of each scenario in a
+// contiguous range [begin, end), and `shard-sweep` runs a slice-local
+// KernelShardAccumulator session keyed by "<sweep-id>/<begin>-<end>" whose
+// `probe` and `add` replies are per-class independence bits.  Neither
+// verb does float arithmetic: a client that holds every slice merges them
+// itself, concatenating ranks in scenario order or summing class weights
+// over set bits in the engine's scenario_classes() order, and gets the
+// engine's own ER and gains bit for bit.  A re-sent `add` returns the
+// stored bits instead of committing again, and `init committed=` replays a
+// path list into a fresh session.  `heartbeat` is a cheap liveness probe.
 #pragma once
 
 #include <functional>
@@ -75,10 +78,10 @@ struct SweepSession {
 
 /// Upper bounds on `scenarios`, one per verb whose work grows linearly
 /// with it; a larger value is answered with the error "<verb>: scenarios
-/// must be at most <cap>".  Each cap sits far above what the library's
-/// experiments ask for (the benchmark's largest request names 100), and
-/// at the cap a request on the largest bundled topology runs for seconds,
-/// not hours.
+/// must be at most <cap>".  The shard verbs' `runs` shares the er-eval
+/// cap.  Each cap sits far above what the library's experiments ask for
+/// (the benchmark's largest request names 100), and at the cap a request
+/// on the largest bundled topology runs for seconds, not hours.
 inline constexpr std::size_t kMaxInferScenarios = 10'000;
 inline constexpr std::size_t kMaxErEvalScenarios = 100'000;
 inline constexpr std::size_t kMaxIdentifiabilityScenarios = 20'000;

@@ -838,7 +838,7 @@ CheckResult check_kernel_matches_scenario(const TestInstance& inst,
 
 // --------------------------------------------------------------------------
 // 14. The service's line protocol survives hostile bytes and round-trips
-//     well-formed traffic exactly (the cluster wire format).
+//     well-formed traffic exactly.
 // --------------------------------------------------------------------------
 
 CheckResult check_protocol_framing(const TestInstance& inst,
@@ -920,7 +920,7 @@ CheckResult check_protocol_framing(const TestInstance& inst,
     return CheckResult::fail("request changed across format/parse: " + wire);
   }
 
-  // Replies carry doubles bitwise (the cluster merge depends on it).
+  // Replies carry doubles bitwise.
   service::Response response;
   response.set("er", inst.link_probs.empty() ? rng.uniform()
                                              : inst.link_probs[0]);

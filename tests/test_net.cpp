@@ -600,12 +600,13 @@ TEST(ReactorServer, StatsVerbSurfacesReactorCountersAndTheyMove) {
 }
 
 // --------------------------------------------------------------------------
-// Blocking TcpClient hardening (peer vanishing mid-reply)
+// Blocking TcpClient hardening (deadlines, peer vanishing mid-reply)
 // --------------------------------------------------------------------------
 
 /// A scripted one-shot listener: accepts, reads a line, answers with the
 /// given bytes verbatim, closes.  `replies` supplies one script entry per
-/// accepted connection.
+/// accepted connection; with none, connects land in the kernel's accept
+/// queue and are never answered — a blackholed server.
 class ScriptedListener {
  public:
   explicit ScriptedListener(std::vector<std::string> replies)
@@ -651,31 +652,55 @@ class ScriptedListener {
   std::thread thread_;
 };
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(TcpClientDeadlines, ReplyTimeoutThrowsAfterOneDeadline) {
+  ScriptedListener listener({});  // Accepts into the backlog, never replies.
+  service::TcpClient client(
+      "127.0.0.1", listener.port(),
+      service::ClientOptions{.connect_timeout_s = 2.0,
+                             .reply_timeout_s = 0.2});
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)client.call_line("ping"), std::runtime_error);
+  const double elapsed = seconds_since(start);
+  EXPECT_GE(elapsed, 0.2);  // One full reply deadline...
+  EXPECT_LT(elapsed, 5.0);  // ...and not a hang.
+}
+
+TEST(TcpClientDeadlines, ConnectRefusedThrowsQuickly) {
+  // A loopback port that was listening and is closed again: the connect
+  // is refused and thrown, never parked in the kernel's minutes-long
+  // connect timeout.
+  std::uint16_t dead_port = 0;
+  {
+    ScriptedListener probe({});
+    dead_port = probe.port();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(service::TcpClient("127.0.0.1", dead_port,
+                                  service::ClientOptions{
+                                      .connect_timeout_s = 0.5,
+                                      .reply_timeout_s = 0.5}),
+               std::runtime_error);
+  EXPECT_LT(seconds_since(start), 5.0);
+}
+
 TEST(TcpClientTransport, PeerClosingMidReplyThrowsTransportError) {
-  // The server dies after half a reply line: with no retries left the
-  // client must surface a TransportError (connection-level), not a
-  // timeout and not a silent truncated "reply".
+  // The server dies after half a reply line: the client must surface a
+  // TransportError (connection-level), not a timeout and not a silent
+  // truncated "reply".  The failed call closed the connection, so the
+  // next call is a TransportError too, never a stray late reply.
   ScriptedListener listener({"ok pong="});  // No terminating newline.
   service::TcpClient client(
       "127.0.0.1", listener.port(),
       service::ClientOptions{.connect_timeout_s = 5.0,
-                             .reply_timeout_s = 5.0,
-                             .retries = 0});
+                             .reply_timeout_s = 5.0});
   EXPECT_THROW((void)client.call_line("ping"), service::TransportError);
-}
-
-TEST(TcpClientTransport, RetryReconnectsAfterMidReplyCloseAndSucceeds) {
-  // Same mid-reply close, but with one retry: the client reconnects and
-  // the second attempt lands a complete reply.
-  ScriptedListener listener({"ok pong=", "ok pong=1\n"});
-  service::TcpClient client(
-      "127.0.0.1", listener.port(),
-      service::ClientOptions{.connect_timeout_s = 5.0,
-                             .reply_timeout_s = 5.0,
-                             .retries = 1,
-                             .backoff_s = 0.01});
-  EXPECT_EQ(client.call_line("ping"), "ok pong=1");
-  EXPECT_EQ(client.reconnects(), 1u);
+  EXPECT_THROW((void)client.call_line("ping"), service::TransportError);
 }
 
 // --------------------------------------------------------------------------

@@ -14,8 +14,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <string>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/expected_rank.h"
+#include "core/kernel_er.h"
 #include "core/rome.h"
 #include "exp/metrics.h"
 #include "exp/workload.h"
@@ -48,11 +51,13 @@ TEST(Protocol, VerbsRoundTrip) {
        {RequestType::kSelect, RequestType::kErEval,
         RequestType::kIdentifiability, RequestType::kLocalize,
         RequestType::kFeed, RequestType::kReplan,
-        RequestType::kPipelineStats, RequestType::kStats, RequestType::kPing,
-        RequestType::kShutdown}) {
+        RequestType::kPipelineStats, RequestType::kHeartbeat,
+        RequestType::kShardEval, RequestType::kShardSweep, RequestType::kStats,
+        RequestType::kPing, RequestType::kShutdown}) {
     EXPECT_EQ(parse_verb(to_verb(type)), type);
   }
   EXPECT_THROW(parse_verb("frobnicate"), std::invalid_argument);
+  EXPECT_THROW(parse_verb("worker-hello"), std::invalid_argument);
 }
 
 TEST(Protocol, RequestRoundTrip) {
@@ -96,6 +101,14 @@ TEST(Protocol, RequestFinishRejectsUnknownParams) {
   Request clean = parse_request("select seed=5");
   EXPECT_EQ(clean.get_int("seed", 1), 5);
   EXPECT_NO_THROW(clean.finish());
+}
+
+TEST(BitCodec, RoundTripsAndRejectsGarbage) {
+  const std::vector<std::uint64_t> words{0x0123456789abcdefULL, 0, ~0ULL};
+  EXPECT_EQ(decode_bits(encode_bits(words)), words);
+  EXPECT_TRUE(encode_bits({}).empty());
+  EXPECT_THROW(decode_bits("abc"), std::invalid_argument);
+  EXPECT_THROW(decode_bits("000000000000000Z"), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
@@ -597,6 +610,29 @@ TEST(Service, InferRejectsNonFiniteNoise) {
   EXPECT_TRUE(svc.handle_line("infer " + params + " noise=0").ok);
 }
 
+TEST(Service, ShardRunsAboveTheCapAreRejected) {
+  // runs= sizes the kernel engine the shard verbs build; the cap is
+  // checked before any workload or engine exists, so nothing large is
+  // ever allocated here.
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const std::string params = "nodes=30 links=60 seed=3 intensity=5 paths=30";
+  const std::string runs = std::to_string(kMaxErEvalScenarios + 1);
+  for (const auto& [verb, line] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"shard-eval", "shard-eval " + params + " subset=0,1 runs=" + runs},
+           {"shard-sweep", "shard-sweep " + params +
+                               " sweep=s1 op=init begin=0 end=1 runs=" +
+                               runs}}) {
+    const Response r = svc.handle_line(line);
+    ASSERT_FALSE(r.ok) << verb;
+    EXPECT_EQ(r.error, verb + ": runs must be at most " +
+                           std::to_string(kMaxErEvalScenarios));
+  }
+  const Response pong = svc.handle_line("ping");
+  ASSERT_TRUE(pong.ok) << pong.error;
+  EXPECT_EQ(pong.at("pong"), "1");
+}
+
 TEST(Service, NonFiniteOrNegativeBudgetsAreRejected) {
   // budget-frac=nan passed every budget test and selected paths costing
   // more than any budget; inf and negative fractions fared no better.
@@ -989,6 +1025,258 @@ TEST(Service, KernelRomeMatchesMonteRome) {
   EXPECT_EQ(kernel.at("paths"), monte.at("paths"));
   EXPECT_NEAR(kernel.number("objective"), monte.number("objective"), 1e-9);
   EXPECT_EQ(kernel.number("rank"), monte.number("rank"));
+}
+
+// --------------------------------------------------------------------------
+// Shard verbs on the wire
+// --------------------------------------------------------------------------
+//
+// shard-eval and shard-sweep answer integers only (ranks, independence
+// bits), so a client holding every slice of the scenarios reproduces the
+// engine's ranks, gains and values exactly.  EXPECT_EQ on doubles here is
+// deliberate.
+
+constexpr std::size_t kRuns = 25;
+
+WorkloadKey shard_key() {
+  WorkloadKey key;
+  key.nodes = 30;
+  key.links = 60;
+  key.candidate_paths = 40;
+  key.seed = 3;
+  key.intensity = 5.0;
+  return key;
+}
+
+std::string key_params(std::size_t runs = kRuns) {
+  return "nodes=30 links=60 paths=40 seed=3 intensity=5 runs=" +
+         std::to_string(runs);
+}
+
+/// One ReactorServer on an ephemeral loopback port, run on its own loop
+/// thread and stopped on scope exit.
+class LoopbackServer {
+ public:
+  LoopbackServer()
+      : server_(ReactorServerConfig{.port = 0,
+                                    .threads = 2,
+                                    .cache_capacity = 2,
+                                    .request_timeout_s = 120.0}),
+        runner_([this] { server_.run(); }) {}
+  ~LoopbackServer() {
+    server_.stop();
+    runner_.join();
+  }
+  std::uint16_t port() const { return server_.port(); }
+
+ private:
+  ReactorServer server_;
+  std::thread runner_;
+};
+
+std::string join_csv(const std::vector<std::size_t>& values) {
+  std::string csv;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) csv += ',';
+    csv += std::to_string(values[i]);
+  }
+  return csv;
+}
+
+std::vector<std::size_t> parse_ranks(const std::string& csv) {
+  std::vector<std::size_t> ranks;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    const std::size_t comma = csv.find(',', start);
+    const std::size_t stop = comma == std::string::npos ? csv.size() : comma;
+    ranks.push_back(std::stoull(csv.substr(start, stop - start)));
+    start = stop + 1;
+  }
+  return ranks;
+}
+
+TEST(ClusterVerbs, ShardEvalEqualsEngineSliceRanks) {
+  LoopbackServer server;
+  WorkloadCache cache(1);
+  const auto cw = cache.get(shard_key());
+  const core::KernelErEngine& engine = cw->kernel_engine(kRuns);
+
+  TcpClient client("127.0.0.1", server.port(), 30.0);
+  const Response r = parse_response(client.call_line(
+      "shard-eval " + key_params() + " subset=0,1,2,7 begin=5 end=20"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.at("ranks"), join_csv(engine.slice_ranks({0, 1, 2, 7}, 5, 20)));
+  EXPECT_EQ(r.at("begin"), "5");
+  EXPECT_EQ(r.at("end"), "20");
+
+  // Bad ranges are application errors, not hangs.
+  EXPECT_FALSE(parse_response(client.call_line("shard-eval " + key_params() +
+                                               " subset=0 begin=9 end=4"))
+                   .ok);
+  EXPECT_FALSE(parse_response(client.call_line("shard-eval " + key_params() +
+                                               " subset=0 begin=0 end=9999"))
+                   .ok);
+}
+
+TEST(ClusterVerbs, SweepAddIsIdempotentAndReplaysCommitted) {
+  LoopbackServer server;
+  WorkloadCache cache(1);
+  const auto cw = cache.get(shard_key());
+  const core::KernelErEngine& engine = cw->kernel_engine(kRuns);
+
+  // Local twin of the server's session.
+  const auto twin = engine.make_shard_accumulator(0, kRuns);
+
+  TcpClient client("127.0.0.1", server.port(), 30.0);
+  const std::string slice = " begin=0 end=" + std::to_string(kRuns);
+  ASSERT_TRUE(parse_response(client.call_line("shard-sweep sweep=s1 op=init" +
+                                              slice + " " + key_params()))
+                  .ok);
+
+  const Response probe = parse_response(
+      client.call_line("shard-sweep sweep=s1 op=probe path=3" + slice));
+  ASSERT_TRUE(probe.ok) << probe.error;
+  EXPECT_EQ(probe.at("bits"), encode_bits(twin->probe(3)));
+
+  const Response add = parse_response(
+      client.call_line("shard-sweep sweep=s1 op=add path=3" + slice));
+  ASSERT_TRUE(add.ok) << add.error;
+  EXPECT_EQ(add.at("bits"), encode_bits(twin->add(3)));
+
+  // A re-sent add must return the memoized bits, not re-commit.
+  const Response again = parse_response(
+      client.call_line("shard-sweep sweep=s1 op=add path=3" + slice));
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.at("bits"), add.at("bits"));
+
+  const Response probe2 = parse_response(
+      client.call_line("shard-sweep sweep=s1 op=probe path=5" + slice));
+  ASSERT_TRUE(probe2.ok) << probe2.error;
+  EXPECT_EQ(probe2.at("bits"), encode_bits(twin->probe(5)));
+
+  // Replay: a fresh session initialized with committed=3 must answer
+  // exactly like the original session.
+  const Response replay = parse_response(
+      client.call_line("shard-sweep sweep=s2 op=init committed=3" + slice +
+                       " " + key_params()));
+  ASSERT_TRUE(replay.ok) << replay.error;
+  EXPECT_EQ(replay.at("committed"), "1");
+  const Response probe3 = parse_response(
+      client.call_line("shard-sweep sweep=s2 op=probe path=5" + slice));
+  ASSERT_TRUE(probe3.ok) << probe3.error;
+  EXPECT_EQ(probe3.at("bits"), probe2.at("bits"));
+
+  // Unknown sessions and ops are structured errors.
+  EXPECT_FALSE(parse_response(client.call_line(
+                                  "shard-sweep sweep=nope op=probe path=1" +
+                                  slice))
+                   .ok);
+  EXPECT_FALSE(parse_response(client.call_line(
+                                  "shard-sweep sweep=s1 op=warp path=1" +
+                                  slice))
+                   .ok);
+
+  // end is idempotent too.
+  EXPECT_EQ(parse_response(
+                client.call_line("shard-sweep sweep=s1 op=end" + slice))
+                .at("ended"),
+            "1");
+  EXPECT_EQ(parse_response(
+                client.call_line("shard-sweep sweep=s1 op=end" + slice))
+                .at("ended"),
+            "0");
+}
+
+TEST(ClusterVerbs, TwoSliceMergeEqualsEngineBitwise) {
+  // Two shard-sweep sessions over [0, k) and [k, runs) drive a greedy
+  // trajectory.  Summing class weights over the slices' bits in global
+  // scenario_classes() order must give the engine accumulator's gain()
+  // and value() bit for bit, and two shard-eval slices must concatenate
+  // to scenario_ranks().  k = 67 puts a word boundary inside slice one.
+  constexpr std::size_t runs = 80;
+  constexpr std::size_t k = 67;
+  LoopbackServer server;
+  WorkloadCache cache(1);
+  const auto cw = cache.get(shard_key());
+  const core::KernelErEngine& engine = cw->kernel_engine(runs);
+  const core::ScenarioClasses& classes = engine.scenario_classes();
+  const std::size_t paths = cw->workload.system->path_count();
+  const auto local = engine.make_accumulator();
+
+  TcpClient client("127.0.0.1", server.port(), 30.0);
+  const std::array<std::pair<std::size_t, std::size_t>, 2> slices{
+      {{0, k}, {k, runs}}};
+  auto slice_params = [&](std::size_t s) {
+    return " begin=" + std::to_string(slices[s].first) +
+           " end=" + std::to_string(slices[s].second);
+  };
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    ASSERT_TRUE(parse_response(
+                    client.call_line("shard-sweep sweep=m op=init" +
+                                     slice_params(s) + " " + key_params(runs)))
+                    .ok);
+  }
+  // One verb over both slices: the reply bits, indexed by scenario.
+  auto merged_bits = [&](const std::string& op, std::size_t path) {
+    std::vector<bool> bits(runs, false);
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      const Response r = parse_response(client.call_line(
+          "shard-sweep sweep=m op=" + op + " path=" + std::to_string(path) +
+          slice_params(s)));
+      EXPECT_TRUE(r.ok) << r.error;
+      const std::vector<std::uint64_t> words = decode_bits(r.at("bits"));
+      for (std::size_t i = slices[s].first; i < slices[s].second; ++i) {
+        const std::size_t at = i - slices[s].first;
+        bits[i] = at / 64 < words.size() && ((words[at / 64] >> (at % 64)) & 1);
+      }
+    }
+    return bits;
+  };
+  auto class_sum = [&](const std::vector<bool>& bits, double start) {
+    for (std::size_t c = 0; c < classes.count(); ++c) {
+      if (bits[classes.representative[c]]) start += classes.weights[c];
+    }
+    return start;
+  };
+
+  std::vector<std::size_t> committed;
+  double value = 0.0;
+  for (std::size_t step = 0; step < 8; ++step) {
+    std::size_t best = paths;
+    double best_gain = 0.0;
+    for (std::size_t p = 0; p < paths; ++p) {
+      const double gain = class_sum(merged_bits("probe", p), 0.0);
+      ASSERT_EQ(gain, local->gain(p)) << "step " << step << " path " << p;
+      if (gain > best_gain) {
+        best = p;
+        best_gain = gain;
+      }
+    }
+    if (best == paths) break;  // Nothing adds rank any more.
+    value = class_sum(merged_bits("add", best), value);
+    local->add(best);
+    ASSERT_EQ(value, local->value()) << "step " << step;
+    committed.push_back(best);
+
+    std::vector<std::size_t> ranks;
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      const Response r = parse_response(client.call_line(
+          "shard-eval " + key_params(runs) +
+          " subset=" + join_csv(committed) + slice_params(s)));
+      ASSERT_TRUE(r.ok) << r.error;
+      for (const std::size_t rank : parse_ranks(r.at("ranks"))) {
+        ranks.push_back(rank);
+      }
+    }
+    EXPECT_EQ(ranks, engine.scenario_ranks(committed)) << "step " << step;
+  }
+  EXPECT_GE(committed.size(), 2u);
+
+  // heartbeat counts the two live slice sessions.
+  const Response beat = parse_response(client.call_line("heartbeat"));
+  ASSERT_TRUE(beat.ok) << beat.error;
+  EXPECT_EQ(beat.at("alive"), "1");
+  EXPECT_EQ(beat.at("sweeps"), "2");
 }
 
 }  // namespace

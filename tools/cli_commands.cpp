@@ -12,7 +12,6 @@
 
 #include "boolnt/identifiability.h"
 #include "boolnt/localize.h"
-#include "cluster/coordinator.h"
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
 #include "core/matrome.h"
@@ -223,7 +222,7 @@ void print_usage(std::ostream& out) {
   out <<
       "usage: rnt_cli "
       "<topology|select|evaluate|learn|localize|localize-node|infer|pipeline|"
-      "serve|client|cluster-serve|cluster|fuzz> [--flags]\n"
+      "serve|client|fuzz> [--flags]\n"
       "\n"
       "common workload flags:\n"
       "  --as NAME          AS1755 | AS3257 | AS1239 (calibrated synthetic)\n"
@@ -297,20 +296,6 @@ void print_usage(std::ostream& out) {
       "  --request LINE     one protocol line; omit to read lines from "
       "stdin\n"
       "  --timeout S        reply wait in seconds\n"
-      "\n"
-      "cluster-serve flags: same as serve (a worker is the same service)\n"
-      "\n"
-      "cluster flags (plus the common workload flags):\n"
-      "  --workers CSV      worker ports or host:port pairs (required)\n"
-      "  --weights CSV      relative shard sizes, one per worker\n"
-      "  --runs N           Monte Carlo scenarios (default 50)\n"
-      "  --budget-fracs CSV budget sweep (default 0.1,0.2,0.3)\n"
-      "  --timeout S --connect-timeout S  per-RPC deadlines\n"
-      "  --retries N --backoff S          per-RPC retry ladder\n"
-      "  --heartbeat-interval S           0 disables the monitor thread\n"
-      "  --heartbeat-deadline S           per-probe deadline (default 1)\n"
-      "  --verify BOOL      bitwise-compare against single-node "
-      "(default true)\n"
       "\n"
       "fuzz flags:\n"
       "  --seed S           master seed; every case derives from it\n"
@@ -744,27 +729,9 @@ void handle_sigint(int) {
   if (service::ReactorServer* server = g_server.load()) server->stop();
 }
 
-void print_server_banner(std::ostream& out, bool worker, std::uint16_t port,
-                         std::size_t pool_size, std::size_t cache_capacity,
-                         double request_timeout_s) {
-  out << (worker ? "cluster worker" : "tomography service")
-      << " listening on 127.0.0.1:" << port << " (" << pool_size
-      << " worker threads, cache " << cache_capacity
-      << " workloads, request timeout " << request_timeout_s << "s)\n";
-  if (worker) {
-    out << "awaiting a coordinator (worker-hello / shard-eval / "
-           "shard-sweep); 'shutdown' or SIGINT to stop\n";
-  } else {
-    out << "protocol: one request per line, e.g. 'select as=AS1755 "
-           "budget-frac=0.1'; 'shutdown' or SIGINT to stop\n";
-  }
-  out.flush();
-}
+}  // namespace
 
-/// Shared body of `serve` and `cluster-serve` — the identical TCP service
-/// either way (a cluster worker is just a service answering shard verbs);
-/// only the banner differs.
-int run_server_command(Flags& flags, std::ostream& out, bool worker) {
+int cmd_serve(Flags& flags, std::ostream& out) {
   service::ReactorServerConfig config;
   config.port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
   config.threads = flags.get_count("threads", 0);
@@ -782,189 +749,18 @@ int run_server_command(Flags& flags, std::ostream& out, bool worker) {
   action.sa_handler = handle_sigint;
   struct sigaction previous{};
   ::sigaction(SIGINT, &action, &previous);
-  print_server_banner(out, worker, server.port(), server.service().pool_size(),
-                      config.cache_capacity, config.request_timeout_s);
+  out << "tomography service listening on 127.0.0.1:" << server.port()
+      << " (" << server.service().pool_size() << " worker threads, cache "
+      << config.cache_capacity << " workloads, request timeout "
+      << config.request_timeout_s << "s)\n";
+  out << "protocol: one request per line, e.g. 'select as=AS1755 "
+         "budget-frac=0.1'; 'shutdown' or SIGINT to stop\n";
+  out.flush();
   server.run();
 
   ::sigaction(SIGINT, &previous, nullptr);
   g_server.store(nullptr);
   out << "\n" << server.service().summary();
-  return 0;
-}
-
-}  // namespace
-
-int cmd_serve(Flags& flags, std::ostream& out) {
-  return run_server_command(flags, out, /*worker=*/false);
-}
-
-int cmd_cluster_serve(Flags& flags, std::ostream& out) {
-  return run_server_command(flags, out, /*worker=*/true);
-}
-
-namespace {
-
-/// Parses "--workers 7071,7072" or "--workers host:port,host:port", with
-/// optional per-worker "--weights 1,2" shard-size multipliers.
-std::vector<cluster::WorkerEndpoint> parse_workers(
-    const std::string& workers_csv, const std::string& weights_csv) {
-  std::vector<cluster::WorkerEndpoint> endpoints;
-  std::istringstream in(workers_csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty()) continue;
-    cluster::WorkerEndpoint endpoint;
-    std::string port_text = token;
-    const std::size_t colon = token.rfind(':');
-    if (colon != std::string::npos) {
-      endpoint.host = token.substr(0, colon);
-      port_text = token.substr(colon + 1);
-    }
-    std::size_t used = 0;
-    const unsigned long port = std::stoul(port_text, &used);
-    if (used != port_text.size() || port == 0 || port > 65535) {
-      throw std::invalid_argument("--workers: bad port in '" + token + "'");
-    }
-    endpoint.port = static_cast<std::uint16_t>(port);
-    endpoints.push_back(std::move(endpoint));
-  }
-  if (endpoints.empty()) {
-    throw std::invalid_argument(
-        "--workers: need a comma-separated port or host:port list");
-  }
-  if (!weights_csv.empty()) {
-    std::istringstream win(weights_csv);
-    std::size_t i = 0;
-    while (std::getline(win, token, ',')) {
-      if (token.empty()) continue;
-      if (i >= endpoints.size()) {
-        throw std::invalid_argument("--weights: more weights than workers");
-      }
-      endpoints[i++].weight = std::stod(token);
-    }
-    if (i != endpoints.size()) {
-      throw std::invalid_argument("--weights: fewer weights than workers");
-    }
-  }
-  return endpoints;
-}
-
-std::vector<double> parse_fracs(const std::string& csv) {
-  std::vector<double> fracs;
-  std::istringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty()) continue;
-    const double value = std::stod(token);
-    if (!(value > 0.0 && value <= 1.0)) {
-      throw std::invalid_argument("--budget-fracs: want fractions in (0, 1]");
-    }
-    fracs.push_back(value);
-  }
-  if (fracs.empty()) {
-    throw std::invalid_argument("--budget-fracs: no fractions given");
-  }
-  return fracs;
-}
-
-}  // namespace
-
-int cmd_cluster(Flags& flags, std::ostream& out) {
-  service::WorkloadKey key;
-  key.topology = flags.get_string("as", "");
-  key.nodes = flags.get_count("nodes", 87);
-  key.links = flags.get_count("links", 161);
-  key.candidate_paths = flags.get_count("paths", 400);
-  key.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  key.intensity = flags.get_double("intensity", 5.0);
-  key.unit_costs = flags.get_bool("unit-costs", false);
-
-  std::vector<cluster::WorkerEndpoint> workers = parse_workers(
-      flags.get_string("workers", ""), flags.get_string("weights", ""));
-
-  cluster::CoordinatorConfig config;
-  config.runs = flags.get_count("runs", 50);
-  config.rpc.connect_timeout_s = flags.get_double("connect-timeout", 5.0);
-  config.rpc.reply_timeout_s = flags.get_double("timeout", 60.0);
-  config.rpc.retries = flags.get_count("retries", 2);
-  config.rpc.backoff_s = flags.get_double("backoff", 0.05);
-  config.heartbeat_interval_s =
-      flags.get_double("heartbeat-interval", 0.0);
-  config.heartbeat_deadline_s =
-      flags.get_double("heartbeat-deadline", 1.0);
-
-  const std::vector<double> fracs =
-      parse_fracs(flags.get_string("budget-fracs", "0.1,0.2,0.3"));
-  const bool verify = flags.get_bool("verify", true);
-  flags.finish();
-
-  cluster::Coordinator coord(key, std::move(workers), config);
-  const std::vector<service::Response> hellos = coord.hello();
-  TablePrinter fleet({"worker", "endpoint", "slice", "status"});
-  for (std::size_t i = 0; i < hellos.size(); ++i) {
-    const cluster::Slice& slice = coord.slices()[i];
-    const cluster::WorkerEndpoint& ep = coord.endpoint(i);
-    fleet.add_row({std::to_string(i),
-                   ep.host + ":" + std::to_string(ep.port),
-                   "[" + std::to_string(slice.begin) + ", " +
-                       std::to_string(slice.end) + ")",
-                   hellos[i].ok ? "pid " + hellos[i].at("pid")
-                                : hellos[i].error});
-  }
-  fleet.print(out);
-  coord.start_heartbeats();
-
-  const exp::Workload& w = coord.workload().workload;
-  out << "workload: " << w.topology_name << ", "
-      << w.system->path_count() << " candidate paths, "
-      << coord.engine().scenario_count() << " scenarios across "
-      << coord.worker_count() << " workers\n\n";
-
-  bool all_match = true;
-  TablePrinter table(verify ? std::vector<std::string>{"budget-frac",
-                                                       "paths", "cost",
-                                                       "cluster ER",
-                                                       "match"}
-                            : std::vector<std::string>{"budget-frac",
-                                                       "paths", "cost",
-                                                       "cluster ER"});
-  for (const double frac : fracs) {
-    const double budget = frac * total_cost(w);
-    const core::Selection sel = coord.select(budget);
-    const double er = coord.evaluate(sel.paths);
-    std::vector<std::string> row{fmt(frac, 2), std::to_string(sel.size()),
-                                 fmt(sel.cost, 0),
-                                 service::format_double(er)};
-    if (verify) {
-      // The merge contract: the cluster answer must be *bitwise* the
-      // single-node kernel answer — same paths, same objective bits,
-      // same ER bits.
-      const core::Selection local =
-          core::rome(*w.system, w.costs, budget, coord.engine());
-      const double local_er = coord.engine().evaluate(sel.paths);
-      const bool match = local.paths == sel.paths &&
-                         local.objective == sel.objective &&
-                         local_er == er;
-      all_match = all_match && match;
-      row.push_back(match ? "bitwise" : "MISMATCH");
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(out);
-  coord.stop_heartbeats();
-
-  const auto m = coord.metrics();
-  out << "\nworkers alive " << coord.alive_workers() << "/"
-      << coord.worker_count() << ", failovers " << coord.failovers()
-      << ", rpc rounds " << m.requests << " (" << m.errors << " errors)\n";
-  if (verify) {
-    if (!all_match) {
-      out << "MISMATCH: cluster result differs from single-node kernel\n";
-      return 1;
-    }
-    out << "verified: cluster selections and ER bitwise identical to "
-           "single-node\n";
-  }
   return 0;
 }
 
@@ -1093,10 +889,6 @@ int dispatch(int argc, char** argv, std::ostream& out) {
     rc = cmd_serve(flags, out);
   } else if (command == "client") {
     rc = cmd_client(flags, std::cin, out);
-  } else if (command == "cluster-serve") {
-    rc = cmd_cluster_serve(flags, out);
-  } else if (command == "cluster") {
-    rc = cmd_cluster(flags, out);
   } else if (command == "fuzz") {
     rc = cmd_fuzz(flags, out);
   } else {

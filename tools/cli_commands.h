@@ -41,15 +41,6 @@ int cmd_serve(Flags& flags, std::ostream& out);
 /// running service and print the replies.
 int cmd_client(Flags& flags, std::istream& in, std::ostream& out);
 
-/// `rnt_cli cluster-serve` — run one cluster worker process: the same
-/// TCP service as `serve`, announced as a shard worker.
-int cmd_cluster_serve(Flags& flags, std::ostream& out);
-
-/// `rnt_cli cluster` — coordinate fig5-style ER/RoMe sweeps across worker
-/// processes, with failover, and (by default) verify the merged answers
-/// bitwise against a local single-node run.
-int cmd_cluster(Flags& flags, std::ostream& out);
-
 /// `rnt_cli fuzz` — run the deterministic correctness harness: seeded
 /// random instances checked against brute-force oracles and differential
 /// twins, with failing cases shrunk to replayable repro files.

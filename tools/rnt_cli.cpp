@@ -11,9 +11,6 @@
 //             pipeline (online estimation + drift-gated re-selection).
 //   serve     Run the concurrent tomography service on a TCP port.
 //   client    Send protocol lines to a running service.
-//   cluster-serve  Run one cluster worker (the same service, shard verbs).
-//   cluster   Coordinate sharded ER/RoMe sweeps across workers with
-//             failover; verifies the merge bitwise against single-node.
 //
 // Examples:
 //   rnt_cli topology --as AS3257 --output as3257.edges
@@ -27,8 +24,6 @@
 //                    --segments 2,10,5 --segment-epochs 40
 //   rnt_cli serve --port 7070 --threads 8 --cache 8
 //   rnt_cli client --port 7070 --request "select as=AS1755 budget-frac=0.1"
-//   rnt_cli cluster-serve --port 7071
-//   rnt_cli cluster --workers 7071,7072 --paths 200 --budget-fracs 0.1,0.3
 //
 // Command implementations live in cli_commands.cpp so the test suite can
 // drive them directly.
