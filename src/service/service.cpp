@@ -1,7 +1,12 @@
 #include "service/service.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +26,28 @@ namespace rnt::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Pins glibc's mmap and trim thresholds, once per process.  Left
+/// dynamic, glibc raises both the first time a large block is freed (an
+/// evicted or torn-down deployment's routing matrix: 3 MB on AS1239), and
+/// from then on each worker's arena keeps up to twice that size of freed
+/// memory resident.  How much it keeps depends on which worker built or
+/// served what, so the server's resident peak on one request script
+/// varied by 3 MB from run to run.  Pinned, blocks below 4 MB stay in the
+/// arenas, as they do once the dynamic threshold has risen; an arena
+/// returns free memory once its top passes 2 MB and keeps 1 MB of it, so
+/// a select's per-request buffers (up to 1.1 MB) do not fault in fresh
+/// pages on every request.
+void pin_allocator_thresholds() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    ::mallopt(M_MMAP_THRESHOLD, 4 << 20);
+    ::mallopt(M_TRIM_THRESHOLD, 2 << 20);
+    ::mallopt(M_TOP_PAD, 1 << 20);
+  });
+#endif
+}
 
 /// Workload parameters shared by every compute verb; defaults mirror the
 /// rnt_cli commands so a service reply matches the one-shot CLI answer.
@@ -219,7 +246,9 @@ PipelineSession::PipelineSession(std::shared_ptr<const CachedWorkload> cw)
 Service::Service(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity),
-      pool_(config.threads) {}
+      pool_(config.threads) {
+  pin_allocator_thresholds();
+}
 
 std::size_t Service::session_count() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
