@@ -45,7 +45,10 @@ int main_body(Flags& flags) {
   const exp::Workload w = exp::make_workload(spec);
 
   // An arbitrary basis, then dependent paths appended one by one.
-  const auto basis = linalg::independent_row_subset(w.system->matrix());
+  std::vector<std::size_t> all(w.system->path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto basis =
+      linalg::independent_row_subset(tomo::path_matrix(*w.system, all));
   std::vector<std::size_t> dependents;
   for (std::size_t q = 0;
        q < w.system->path_count() && dependents.size() < max_dependent; ++q) {

@@ -10,6 +10,13 @@
 // absolute numbers; tools/bench_compare gates CI on the ratios against
 // bench/baselines/BENCH_ER.json (see docs/BENCHMARKS.md).
 //
+// The scenario gain sweep and RoMe run on the testkit's
+// DenseRowScenarioEngine: the same mixture and arithmetic as the
+// production scenario accumulator, but each path reduced as its dense
+// full-width row.  That fixes the kernel ratios' denominator to one cost
+// model, so a faster production scenario accumulator does not read as a
+// kernel slowdown.
+//
 // The kernel/scenario evaluate results are also asserted bitwise equal
 // here, so a perf run that silently diverges fails loudly.
 #include <cstdint>
@@ -24,6 +31,7 @@
 #include "core/kernel_er.h"
 #include "core/rome.h"
 #include "exp/workload.h"
+#include "testkit/dense_reference.h"
 #include "util/table.h"
 
 namespace rnt {
@@ -50,6 +58,8 @@ int run(Flags& flags) {
   const core::MonteCarloEr scenario(*w.system, *w.failures, runs, rng);
   const core::KernelErEngine kernel(*w.system, scenario.scenarios(),
                                     scenario.weights(), scenario.name());
+  const testkit::DenseRowScenarioEngine dense_scenario(
+      *w.system, scenario.scenarios(), scenario.weights(), scenario.name());
   const core::ProbBoundEr probbound(*w.system, *w.failures);
 
   // Forced sliced-vs-scalar pair over one shared mixture, sampled at a
@@ -130,10 +140,10 @@ int run(Flags& flags) {
       [&] { (void)kernel.evaluate_parallel(all, threads); },
       /*min_iterations=*/20, min_seconds);
   const bench::LatencySample probbound_eval = time_evaluate(probbound);
-  const bench::LatencySample scenario_gain = time_gain_sweep(scenario);
+  const bench::LatencySample scenario_gain = time_gain_sweep(dense_scenario);
   const bench::LatencySample kernel_gain = time_gain_sweep(kernel);
   const bench::LatencySample probbound_gain = time_gain_sweep(probbound);
-  const bench::LatencySample scenario_rome = time_rome(scenario);
+  const bench::LatencySample scenario_rome = time_rome(dense_scenario);
   const bench::LatencySample kernel_rome = time_rome(kernel);
   const bench::LatencySample sliced_gain = time_gain_sweep(sliced_engine);
   const bench::LatencySample scalar_gain = time_gain_sweep(scalar_engine);

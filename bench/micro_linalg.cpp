@@ -6,6 +6,8 @@
 // gate reads these numbers.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
@@ -22,8 +24,10 @@ namespace {
 linalg::Matrix path_matrix(std::size_t paths, std::uint64_t seed = 7) {
   Rng rng(seed);
   graph::Graph g = graph::build_isp_like(87, 161, rng);
-  tomo::PathSystem sys = tomo::build_path_system(g, paths, rng);
-  return sys.matrix();
+  const tomo::PathSystem sys = tomo::build_path_system(g, paths, rng);
+  std::vector<std::size_t> rows(sys.path_count());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return tomo::path_matrix(sys, rows);
 }
 
 void BM_BatchRank(benchmark::State& state) {
@@ -59,27 +63,37 @@ void BM_IndependenceQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_IndependenceQuery)->Arg(100)->Arg(200);
 
-/// 400 candidate paths on the large calibrated topology (AS1239).
-const tomo::PathSystem& as1239_system() {
-  static const tomo::PathSystem system = [] {
+/// 400 candidate paths on the large calibrated topology (AS1239), with
+/// their dense rows for the reference basis.
+struct As1239 {
+  tomo::PathSystem system;
+  linalg::Matrix rows;
+};
+
+const As1239& as1239() {
+  static const As1239 instance = [] {
     Rng rng(7);
     const graph::Graph g =
         graph::build_isp_topology(graph::IspTopology::kAS1239, rng);
-    return tomo::build_path_system(g, 400, rng);
+    tomo::PathSystem system = tomo::build_path_system(g, 400, rng);
+    std::vector<std::size_t> rows(system.path_count());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    linalg::Matrix dense = tomo::path_matrix(system, rows);
+    return As1239{std::move(system), std::move(dense)};
   }();
-  return system;
+  return instance;
 }
 
 /// Path row r in the form each basis's callers pass it: by link id to the
 /// production basis (as ProbBound and the kernel do), densely to the
 /// reference.
-linalg::UnitRow path_row(const linalg::IncrementalBasis&,
-                         const tomo::PathSystem& sys, std::size_t r) {
-  return sys.unit_row(r);
+linalg::UnitRow path_row(const linalg::IncrementalBasis&, const As1239& w,
+                         std::size_t r) {
+  return w.system.unit_row(r);
 }
 std::span<const double> path_row(const testkit::DenseIncrementalBasis&,
-                                 const tomo::PathSystem& sys, std::size_t r) {
-  return sys.row(r);
+                                 const As1239& w, std::size_t r) {
+  return w.rows.row(r);
 }
 
 /// Building a tracked basis from every AS1239 path row, ProbBound's
@@ -87,11 +101,12 @@ std::span<const double> path_row(const testkit::DenseIncrementalBasis&,
 /// the testkit's dense reference.
 template <class Basis>
 void BM_BasisBuildAS1239(benchmark::State& state) {
-  const tomo::PathSystem& sys = as1239_system();
+  const As1239& w = as1239();
+  const tomo::PathSystem& sys = w.system;
   for (auto _ : state) {
     Basis basis(sys.link_count());
     for (std::size_t r = 0; r < sys.path_count(); ++r) {
-      basis.try_add(path_row(basis, sys, r));
+      basis.try_add(path_row(basis, w, r));
     }
     benchmark::DoNotOptimize(basis.rank());
   }
@@ -104,15 +119,16 @@ BENCHMARK_TEMPLATE(BM_BasisBuildAS1239, testkit::DenseIncrementalBasis);
 /// tier's query.  Items are queries.
 template <class Basis>
 void BM_BasisQueryAS1239(benchmark::State& state) {
-  const tomo::PathSystem& sys = as1239_system();
+  const As1239& w = as1239();
+  const tomo::PathSystem& sys = w.system;
   Basis basis(sys.link_count(), linalg::kDefaultTolerance,
               /*track_combinations=*/false);
   for (std::size_t r = 0; r < sys.path_count(); ++r) {
-    basis.try_add(path_row(basis, sys, r));
+    basis.try_add(path_row(basis, w, r));
   }
   for (auto _ : state) {
     for (std::size_t r = 0; r < sys.path_count(); ++r) {
-      benchmark::DoNotOptimize(basis.is_independent(path_row(basis, sys, r)));
+      benchmark::DoNotOptimize(basis.is_independent(path_row(basis, w, r)));
     }
   }
   state.SetItemsProcessed(state.iterations() *

@@ -35,7 +35,7 @@ class ScenarioAccumulator : public ErAccumulator {
   double gain(std::size_t path) const override {
     return memo_.get(path, [&] {
       double g = 0.0;
-      const auto row = system_.row(path);
+      const linalg::UnitRow row = system_.unit_row(path);
       for (std::size_t s = 0; s < scenarios_.size(); ++s) {
         if (!system_.path_survives(path, scenarios_[s])) continue;
         if (bases_[s].is_independent(row)) g += weights_[s];
@@ -45,7 +45,7 @@ class ScenarioAccumulator : public ErAccumulator {
   }
 
   void add(std::size_t path) override {
-    const auto row = system_.row(path);
+    const linalg::UnitRow row = system_.unit_row(path);
     for (std::size_t s = 0; s < scenarios_.size(); ++s) {
       if (!system_.path_survives(path, scenarios_[s])) continue;
       if (bases_[s].try_add(row)) value_ += weights_[s];

@@ -21,7 +21,7 @@ Selection max_weight_independent_set(const tomo::PathSystem& system,
   Selection out;
   for (std::size_t q : order) {
     if (out.paths.size() >= max_paths) break;
-    if (basis.try_add(system.row(q))) {
+    if (basis.try_add(system.unit_row(q))) {
       out.paths.push_back(q);
       out.cost += 1.0;  // Unit probing cost in the matroid setting.
       out.objective += weights[q];

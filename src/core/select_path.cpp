@@ -11,8 +11,10 @@ namespace {
 
 Selection basis_in_order(const tomo::PathSystem& system,
                          const std::vector<std::size_t>& order) {
+  std::vector<std::size_t> all(system.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   Selection out;
-  out.paths = linalg::cholesky_basis(system.matrix(), order);
+  out.paths = linalg::cholesky_basis(tomo::path_matrix(system, all), order);
   out.cost = static_cast<double>(out.paths.size());
   out.objective = static_cast<double>(out.paths.size());
   return out;

@@ -28,12 +28,13 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Pins glibc's mmap and trim thresholds, once per process.  Left
-/// dynamic, glibc raises both the first time a large block is freed (an
-/// evicted or torn-down deployment's routing matrix: 3 MB on AS1239), and
+/// dynamic, glibc raises both the first time it frees a block above the
+/// current mmap threshold (128 KB at start), such as a select's
+/// per-request buffers or a torn-down deployment's engine tables, and
 /// from then on each worker's arena keeps up to twice that size of freed
 /// memory resident.  How much it keeps depends on which worker built or
 /// served what, so the server's resident peak on one request script
-/// varied by 3 MB from run to run.  Pinned, blocks below 4 MB stay in the
+/// varies from run to run.  Pinned, blocks below 4 MB stay in the
 /// arenas, as they do once the dynamic threshold has risen; an arena
 /// returns free memory once its top passes 2 MB and keeps 1 MB of it, so
 /// a select's per-request buffers (up to 1.1 MB) do not fault in fresh

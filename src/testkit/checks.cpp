@@ -189,7 +189,8 @@ CheckResult check_probbound_dominates_er(const TestInstance& inst,
   // Tightness: on a linearly independent set every surviving subset has
   // full rank, so ER collapses to sum of EA and the bound is exact.
   const std::vector<std::size_t> ind =
-      linalg::independent_row_subset(inst.system.matrix());
+      linalg::independent_row_subset(
+          tomo::path_matrix(inst.system, all_paths(inst)));
   if (!ind.empty()) {
     const double b = bound(ind);
     const double er = table.er(ind);
@@ -334,9 +335,10 @@ CheckResult check_rank_oracles_agree(const TestInstance& inst,
   std::vector<std::vector<std::size_t>> subsets = {all_paths(inst)};
   subsets.push_back(random_subset(rng, inst.path_count()));
 
+  const linalg::Matrix a = tomo::path_matrix(inst.system, all_paths(inst));
   for (const auto& subset : subsets) {
     const std::size_t expected = exact_rank(dense_rows(inst, subset));
-    const linalg::Matrix sub = inst.system.matrix().select_rows(subset);
+    const linalg::Matrix sub = tomo::path_matrix(inst.system, subset);
 
     const auto mismatch = [&](const std::string& who, std::size_t got) {
       return CheckResult::fail(who + " rank " + std::to_string(got) +
@@ -347,9 +349,8 @@ CheckResult check_rank_oracles_agree(const TestInstance& inst,
     if (linalg::rank(sub) != expected) {
       return mismatch("linalg::rank", linalg::rank(sub));
     }
-    if (linalg::rank_of_rows(inst.system.matrix(), subset) != expected) {
-      return mismatch("linalg::rank_of_rows",
-                      linalg::rank_of_rows(inst.system.matrix(), subset));
+    if (linalg::rank_of_rows(a, subset) != expected) {
+      return mismatch("linalg::rank_of_rows", linalg::rank_of_rows(a, subset));
     }
     const std::size_t sparse =
         linalg::SparseMatrix::from_dense(sub).rank_via_dense();
@@ -366,7 +367,7 @@ CheckResult check_rank_oracles_agree(const TestInstance& inst,
     std::vector<std::size_t> order = subset;
     rng.shuffle(order);
     linalg::IncrementalBasis basis(inst.link_count());
-    for (const std::size_t i : order) basis.try_add(inst.system.row(i));
+    for (const std::size_t i : order) basis.try_add(a.row(i));
     if (basis.rank() != expected) {
       return mismatch("IncrementalBasis", basis.rank());
     }
@@ -412,9 +413,10 @@ std::vector<BasisRow> basis_rows(const TestInstance& inst, Rng& rng) {
   constexpr double tol = linalg::kDefaultTolerance;
   std::vector<std::size_t> order = all_paths(inst);
   rng.shuffle(order);
+  const linalg::Matrix a = tomo::path_matrix(inst.system, all_paths(inst));
   std::vector<BasisRow> rows;
   for (const std::size_t i : order) {
-    const auto path = inst.system.row(i);
+    const auto path = a.row(i);
     rows.push_back({{path.begin(), path.end()}, inst.path_links[i]});
     if (rng.bernoulli(0.3)) {
       std::vector<double> real(links, 0.0);
@@ -521,10 +523,11 @@ CheckResult check_incremental_basis_reduction(const TestInstance& inst,
   std::vector<std::size_t> order = all_paths(inst);
   rng.shuffle(order);
 
+  const linalg::Matrix a = tomo::path_matrix(inst.system, all_paths(inst));
   linalg::IncrementalBasis basis(inst.link_count());
   std::vector<std::vector<double>> independent_rows;
   for (const std::size_t i : order) {
-    const auto row = inst.system.row(i);
+    const auto row = a.row(i);
     const linalg::Reduction red = basis.add_with_reduction(row);
     if (red.independent) {
       independent_rows.emplace_back(row.begin(), row.end());
@@ -1808,6 +1811,74 @@ CheckResult check_restricted_solve_matches_dense(const TestInstance& inst,
   return CheckResult::ok();
 }
 
+// --------------------------------------------------------------------------
+// 19. The scenario accumulator's unit rows are bitwise its dense rows.
+// --------------------------------------------------------------------------
+
+std::string scenario_rows_diff(const tomo::PathSystem& system,
+                               const tomo::CostModel& costs,
+                               const core::ScenarioErEngine& engine,
+                               const std::vector<std::size_t>& trajectory,
+                               double budget) {
+  const DenseRowScenarioEngine dense(system, engine.scenarios(),
+                                     engine.weights(), engine.name());
+  auto unit_acc = engine.make_accumulator();
+  auto dense_acc = dense.make_accumulator();
+  std::vector<bool> added(system.path_count(), false);
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    for (std::size_t q = 0; q < system.path_count(); ++q) {
+      if (added[q]) continue;
+      const double got = unit_acc->gain(q);
+      const double want = dense_acc->gain(q);
+      if (!same_bits(got, want)) {
+        return "gain(" + std::to_string(q) + ") before add " +
+               std::to_string(i) + ": " + fmt(got) + " (unit rows) vs " +
+               fmt(want) + " (dense rows)";
+      }
+    }
+    added[trajectory[i]] = true;
+    unit_acc->add(trajectory[i]);
+    dense_acc->add(trajectory[i]);
+    if (!same_bits(unit_acc->value(), dense_acc->value())) {
+      return "value after add " + std::to_string(i) + ": " +
+             fmt(unit_acc->value()) + " (unit rows) vs " +
+             fmt(dense_acc->value()) + " (dense rows)";
+    }
+  }
+  const core::Selection got = core::rome(system, costs, budget, engine);
+  const core::Selection want = core::rome(system, costs, budget, dense);
+  if (got.paths != want.paths) {
+    return "rome selected " + std::to_string(got.paths.size()) +
+           " paths on unit rows, " + std::to_string(want.paths.size()) +
+           " on dense rows, not the same list";
+  }
+  if (!same_bits(got.objective, want.objective)) {
+    return "rome objective " + fmt(got.objective) + " (unit rows) vs " +
+           fmt(want.objective) + " (dense rows)";
+  }
+  return {};
+}
+
+CheckResult check_scenario_unit_rows_match_dense(const TestInstance& inst,
+                                                 const FaultPlan&) {
+  Rng rng = check_rng(inst, "scenario-unit-rows-match-dense");
+  Rng mc_rng = rng.fork();
+  const core::MonteCarloEr mc(inst.system, inst.model, 33, mc_rng);
+  const core::ExactEr exact(inst.system, inst.model);
+  for (const core::ScenarioErEngine* engine :
+       {static_cast<const core::ScenarioErEngine*>(&mc),
+        static_cast<const core::ScenarioErEngine*>(&exact)}) {
+    std::vector<std::size_t> trajectory = all_paths(inst);
+    rng.shuffle(trajectory);
+    const double budget = rng.uniform(0.3, 0.9) * total_cost(inst);
+    const std::string diff =
+        scenario_rows_diff(inst.system, inst.costs, *engine, trajectory,
+                           budget);
+    if (!diff.empty()) return CheckResult::fail(engine->name() + ": " + diff);
+  }
+  return CheckResult::ok();
+}
+
 const std::vector<Check>& all_checks() {
   static const std::vector<Check> checks = {
       {"er-monotone-submodular",
@@ -1886,6 +1957,11 @@ const std::vector<Check>& all_checks() {
        "class-memoized evaluate/infer loops are bitwise the full-width "
        "dense per-scenario computation",
        1, true, check_restricted_solve_matches_dense},
+      {"scenario-unit-rows-match-dense",
+       "the scenario accumulator's unit-row gains, values and RoMe "
+       "selection are bitwise those of the same accumulator on dense "
+       "path rows",
+       1, true, check_scenario_unit_rows_match_dense},
   };
   return checks;
 }

@@ -63,13 +63,24 @@ CheckResult run_check(const Check& check, const TestInstance& instance,
 /// The bitwise referee of kernel accumulators and kernel selects: a
 /// ScenarioErEngine over one representative scenario per class of
 /// `kernel` (its ScenarioClasses), weighted by the class weight.  It ranks
-/// full link-width float rows per scenario and sums the same weights in
+/// float path rows per scenario and sums the same weights in
 /// the same order as the kernel accumulators (ascending class), so their
 /// gains, values and greedy selections must equal its own bit for bit.
 /// (The engine over the raw mixture sums per scenario, which rounds
 /// differently.)
 std::unique_ptr<core::ScenarioErEngine> class_scenario_engine(
     const tomo::PathSystem& system, const core::KernelErEngine& kernel);
+
+/// Empty when `engine`'s accumulator and a DenseRowScenarioEngine over its
+/// mixture agree bit for bit: every path's gain before each add of
+/// `trajectory` (paths not yet added), value() after each add, and the
+/// paths and objective core::rome selects at `budget`.  Otherwise the
+/// first difference.
+std::string scenario_rows_diff(const tomo::PathSystem& system,
+                               const tomo::CostModel& costs,
+                               const core::ScenarioErEngine& engine,
+                               const std::vector<std::size_t>& trajectory,
+                               double budget);
 
 // Individual check bodies (also reusable from unit tests).
 CheckResult check_er_monotone_submodular(const TestInstance&,
@@ -100,6 +111,8 @@ CheckResult check_sliced_matches_scenario(const TestInstance&,
                                           const FaultPlan&);
 CheckResult check_optimizer_bounds(const TestInstance&, const FaultPlan&);
 CheckResult check_restricted_solve_matches_dense(const TestInstance&,
+                                                 const FaultPlan&);
+CheckResult check_scenario_unit_rows_match_dense(const TestInstance&,
                                                  const FaultPlan&);
 
 }  // namespace rnt::testkit

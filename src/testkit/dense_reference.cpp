@@ -2,12 +2,95 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
+#include "core/gain_memo.h"
 #include "linalg/cgls.h"
 #include "linalg/sparse.h"
 
 namespace rnt::testkit {
+
+namespace {
+
+std::vector<std::size_t> every_path(const tomo::PathSystem& system) {
+  std::vector<std::size_t> out(system.path_count());
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  return out;
+}
+
+/// The scenario accumulator with dense path rows: one rank-only basis per
+/// scenario, a path's gain the weight of the scenarios where it survives
+/// and raises the surviving rank.
+class DenseRowScenarioAccumulator final : public core::ErAccumulator {
+ public:
+  DenseRowScenarioAccumulator(
+      const tomo::PathSystem& system, const linalg::Matrix& rows,
+      const std::vector<failures::FailureVector>& scenarios,
+      const std::vector<double>& weights)
+      : system_(system),
+        rows_(rows),
+        scenarios_(scenarios),
+        weights_(weights),
+        memo_(system.path_count()) {
+    bases_.reserve(scenarios_.size());
+    for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+      bases_.emplace_back(system_.link_count(), linalg::kDefaultTolerance,
+                          /*track_combinations=*/false);
+    }
+  }
+
+  double gain(std::size_t path) const override {
+    return memo_.get(path, [&] {
+      double g = 0.0;
+      const auto row = rows_.row(path);
+      for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+        if (!system_.path_survives(path, scenarios_[s])) continue;
+        if (bases_[s].is_independent(row)) g += weights_[s];
+      }
+      return g;
+    });
+  }
+
+  void add(std::size_t path) override {
+    const auto row = rows_.row(path);
+    for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+      if (!system_.path_survives(path, scenarios_[s])) continue;
+      if (bases_[s].try_add(row)) value_ += weights_[s];
+    }
+    memo_.invalidate();
+  }
+
+  double value() const override { return value_; }
+  std::size_t gain_computations() const override {
+    return memo_.computations();
+  }
+
+ private:
+  const tomo::PathSystem& system_;
+  const linalg::Matrix& rows_;
+  const std::vector<failures::FailureVector>& scenarios_;
+  const std::vector<double>& weights_;
+  std::vector<linalg::IncrementalBasis> bases_;
+  core::GainMemo memo_;
+  double value_ = 0.0;
+};
+
+}  // namespace
+
+DenseRowScenarioEngine::DenseRowScenarioEngine(
+    const tomo::PathSystem& system,
+    std::vector<failures::FailureVector> scenarios, std::vector<double> weights,
+    std::string name)
+    : core::ScenarioErEngine(system, std::move(scenarios), std::move(weights),
+                             std::move(name)),
+      rows_(tomo::path_matrix(system, every_path(system))) {}
+
+std::unique_ptr<core::ErAccumulator>
+DenseRowScenarioEngine::make_accumulator() const {
+  return std::make_unique<DenseRowScenarioAccumulator>(system_, rows_,
+                                                       scenarios_, weights_);
+}
 
 DenseIncrementalBasis::DenseIncrementalBasis(std::size_t dimension,
                                              double tol,
@@ -220,13 +303,13 @@ std::vector<std::size_t> null_space_identifiable(const linalg::Matrix& m,
 
 std::size_t dense_rank(const tomo::PathSystem& system,
                        const std::vector<std::size_t>& rows) {
-  return linalg::rank(system.matrix().select_rows(rows));
+  return linalg::rank(tomo::path_matrix(system, rows));
 }
 
 std::vector<std::size_t> dense_identifiable(
     const tomo::PathSystem& system, const std::vector<std::size_t>& rows) {
   if (rows.empty()) return {};
-  return null_space_identifiable(system.matrix().select_rows(rows));
+  return null_space_identifiable(tomo::path_matrix(system, rows));
 }
 
 infer::ScenarioSolution dense_solve_scenario(
@@ -248,7 +331,7 @@ infer::ScenarioSolution dense_solve_scenario(
     return solution;
   }
   const linalg::Matrix restricted =
-      system.matrix().select_rows(observations.rows);
+      tomo::path_matrix(system, observations.rows);
   solution.rank = linalg::rank(restricted);
   solution.identifiable = null_space_identifiable(restricted);
   const linalg::CglsResult cgls = linalg::cgls_solve(

@@ -17,12 +17,21 @@
 // columns, and a second reduction pass to record an inserted row's
 // combination.  The production basis must match it bit for bit (the
 // `incremental-basis-reduction` check).
+//
+// DenseRowScenarioEngine is the scenario engine as it was before its
+// accumulator took paths as unit rows: each gain and add reduces the
+// path's full-width dense row.  The production accumulator must match it
+// bit for bit (the `scenario-unit-rows-match-dense` check), and the ER
+// micro-benchmark times it as the fixed yardstick of its kernel ratios.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/expected_rank.h"
 #include "exp/metrics.h"
 #include "infer/inference.h"
 #include "infer/solver.h"
@@ -66,6 +75,23 @@ class DenseIncrementalBasis {
   std::vector<std::vector<double>> eliminated_;
   std::vector<std::size_t> pivot_cols_;
   std::vector<std::vector<double>> combos_;
+};
+
+/// core::ScenarioErEngine whose accumulator feeds each path's dense row
+/// (one tomo::path_matrix per engine) through linalg::IncrementalBasis's
+/// span overloads, with the production memo and per-scenario order: the
+/// arithmetic and cost of the scenario accumulator before unit rows.
+/// evaluate() is the production one.
+class DenseRowScenarioEngine final : public core::ScenarioErEngine {
+ public:
+  DenseRowScenarioEngine(const tomo::PathSystem& system,
+                         std::vector<failures::FailureVector> scenarios,
+                         std::vector<double> weights, std::string name);
+
+  std::unique_ptr<core::ErAccumulator> make_accumulator() const override;
+
+ private:
+  linalg::Matrix rows_;  ///< tomo::path_matrix of every path.
 };
 
 /// Rank and identifiable columns of `m` from one dense reduced row-echelon

@@ -51,12 +51,12 @@ EstimationResult estimate_link_metrics(const PathSystem& system,
   result.identifiable = identifiable_links(system, measurements.rows);
 
   // Solve a maximal independent subsystem (consistent by construction).
-  const auto basis_positions = linalg::independent_row_subset(
-      system.matrix().select_rows(measurements.rows));
+  const linalg::Matrix measured = path_matrix(system, measurements.rows);
+  const auto basis_positions = linalg::independent_row_subset(measured);
   linalg::Matrix a(0, 0);
   std::vector<double> y;
   for (std::size_t pos : basis_positions) {
-    a.append_row(system.row(measurements.rows[pos]));
+    a.append_row(measured.row(pos));
     y.push_back(measurements.values[pos]);
   }
   const auto x = linalg::solve(a, y);

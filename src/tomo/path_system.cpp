@@ -24,16 +24,14 @@ ProbePath make_probe_path(const graph::Path& routed) {
 
 PathSystem::PathSystem(std::size_t link_count, std::vector<ProbePath> paths)
     : link_count_(link_count), paths_(std::move(paths)) {
-  matrix_ = linalg::Matrix(paths_.size(), link_count_);
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (paths_[i].links.empty()) {
+  for (const ProbePath& p : paths_) {
+    if (p.links.empty()) {
       throw std::invalid_argument("PathSystem: path with no links");
     }
-    for (graph::EdgeId l : paths_[i].links) {
+    for (graph::EdgeId l : p.links) {
       if (l >= link_count_) {
         throw std::out_of_range("PathSystem: link id exceeds link universe");
       }
-      matrix_(i, l) = 1.0;
     }
   }
 }
@@ -86,6 +84,15 @@ std::size_t PathSystem::full_rank() const {
 double PathSystem::expected_availability(
     std::size_t i, const failures::FailureModel& model) const {
   return model.path_availability(paths_.at(i).links);
+}
+
+linalg::Matrix path_matrix(const PathSystem& system,
+                           const std::vector<std::size_t>& rows) {
+  linalg::Matrix out(rows.size(), system.link_count());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (const graph::EdgeId l : system.path(rows[i]).links) out(i, l) = 1.0;
+  }
+  return out;
 }
 
 CoveredSystem covered_system(const PathSystem& system,

@@ -5,6 +5,12 @@
 // A are candidate monitor-to-monitor paths, columns are links (EdgeId order
 // of the underlying graph); A[i][j] = 1 iff path i traverses link j
 // (Section II-A of the paper).
+//
+// A is stored only as each path's sorted link list: a probe path crosses a
+// handful of the graph's links, so a dense paths × links copy would be
+// almost all zeros.  Ranks, gains and solves read the link lists directly
+// (unit_row, class_row_spaces, covered_system); path_matrix builds dense
+// rows on demand for the few callers that need dense arithmetic.
 #pragma once
 
 #include <atomic>
@@ -47,20 +53,17 @@ class PathSystem {
   PathSystem(const PathSystem& other)
       : link_count_(other.link_count_),
         paths_(other.paths_),
-        matrix_(other.matrix_),
         cached_full_rank_(
             other.cached_full_rank_.load(std::memory_order_relaxed)) {}
   PathSystem(PathSystem&& other) noexcept
       : link_count_(other.link_count_),
         paths_(std::move(other.paths_)),
-        matrix_(std::move(other.matrix_)),
         cached_full_rank_(
             other.cached_full_rank_.load(std::memory_order_relaxed)) {}
   PathSystem& operator=(const PathSystem& other) {
     if (this != &other) {
       link_count_ = other.link_count_;
       paths_ = other.paths_;
-      matrix_ = other.matrix_;
       cached_full_rank_.store(
           other.cached_full_rank_.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
@@ -70,7 +73,6 @@ class PathSystem {
   PathSystem& operator=(PathSystem&& other) noexcept {
     link_count_ = other.link_count_;
     paths_ = std::move(other.paths_);
-    matrix_ = std::move(other.matrix_);
     cached_full_rank_.store(
         other.cached_full_rank_.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
@@ -82,12 +84,6 @@ class PathSystem {
 
   const ProbePath& path(std::size_t i) const { return paths_.at(i); }
   const std::vector<ProbePath>& paths() const { return paths_; }
-
-  /// The full path matrix A (|paths| × |links|).
-  const linalg::Matrix& matrix() const { return matrix_; }
-
-  /// Row i of A.
-  std::span<const double> row(std::size_t i) const { return matrix_.row(i); }
 
   /// Row i of A by its link ids: the sparse form IncrementalBasis reduces
   /// without scanning every link column.
@@ -121,12 +117,18 @@ class PathSystem {
  private:
   std::size_t link_count_;
   std::vector<ProbePath> paths_;
-  linalg::Matrix matrix_;
   /// Lazy full-rank cache; atomic so concurrent const callers (the service
   /// layer shares one PathSystem across request threads) stay race-free.
   /// Worst case two threads both compute and store the same value.
   mutable std::atomic<std::ptrdiff_t> cached_full_rank_{-1};
 };
+
+/// Rows `rows` of A (in that order) as a dense rows.size() × link_count
+/// 0/1 matrix; a link a path lists twice is one 1.0.  Built on demand for
+/// dense arithmetic (Cholesky basis, direct solves, dense oracles); every
+/// production rank and gain reads the link lists instead.
+linalg::Matrix path_matrix(const PathSystem& system,
+                           const std::vector<std::size_t>& rows);
 
 /// The rows of a path list as a sparse operator over the links they cover:
 /// what CGLS iterates on.  A link no listed path traverses is an all-zero

@@ -8,10 +8,12 @@
 #include <numeric>
 
 #include "core/expected_rank.h"
+#include "exp/workload.h"
 #include "failures/failure_model.h"
 #include "graph/generators.h"
 #include "graph/isp_topology.h"
 #include "linalg/elimination.h"
+#include "testkit/checks.h"
 #include "tomo/monitors.h"
 #include "util/rng.h"
 
@@ -34,6 +36,13 @@ struct SmallWorld {
         failures::markopoulou_model(graph.edge_count(), rng, intensity));
   }
 };
+
+/// A maximal independent subset of the candidate paths, in path order.
+std::vector<std::size_t> independent_paths(const tomo::PathSystem& system) {
+  std::vector<std::size_t> all(system.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return linalg::independent_row_subset(tomo::path_matrix(system, all));
+}
 
 std::vector<std::size_t> random_subset(std::size_t n, Rng& rng,
                                        double density = 0.5) {
@@ -149,7 +158,7 @@ TEST(ErProperties, ModularOnIndependentSetsLemma8) {
     SmallWorld w(seed);
     ExactEr er(*w.system, *w.model);
     // A maximal independent subset of the candidate paths.
-    const auto basis = linalg::independent_row_subset(w.system->matrix());
+    const auto basis = independent_paths(*w.system);
     double sum_ea = 0.0;
     for (std::size_t q : basis) {
       sum_ea += w.system->expected_availability(q, *w.model);
@@ -180,7 +189,7 @@ TEST(ProbBound, ExactOnIndependentSets) {
   SmallWorld w(50);
   ExactEr exact(*w.system, *w.model);
   ProbBoundEr bound(*w.system, *w.model);
-  const auto basis = linalg::independent_row_subset(w.system->matrix());
+  const auto basis = independent_paths(*w.system);
   EXPECT_NEAR(bound.evaluate(basis), exact.evaluate(basis), 1e-9);
 }
 
@@ -188,7 +197,7 @@ TEST(ProbBound, SingleDependentPathIsExact) {
   // With exactly one dependent path Eq. 6 is exact, not just a bound.
   for (std::uint64_t seed = 60; seed < 70; ++seed) {
     SmallWorld w(seed);
-    const auto basis = linalg::independent_row_subset(w.system->matrix());
+    const auto basis = independent_paths(*w.system);
     // Find one path outside the basis (dependent on it).
     std::vector<std::size_t> extra;
     for (std::size_t q = 0; q < w.system->path_count(); ++q) {
@@ -351,6 +360,33 @@ TEST_P(AccumulatorConsistency, GainsMatchEvaluateDeltas) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, AccumulatorConsistency,
                          ::testing::Values("exact", "mc", "bound", "indep"));
 
+// The scenario accumulator reduces each path by its link ids; the testkit
+// reference reduces the same path's dense full-width row.  On AS1239 at
+// 400 paths with the service's monte-rome mixture, every gain along a
+// trajectory, every value and the RoMe selection must be bitwise equal.
+TEST(ScenarioAccumulator, UnitRowsMatchDenseRowsOnAS1239) {
+  exp::WorkloadSpec spec;
+  spec.topology = graph::IspTopology::kAS1239;
+  spec.candidate_paths = 400;
+  spec.failure_intensity = 5.0;
+  spec.seed = 1000;
+  const exp::Workload w = exp::make_workload(spec);
+  ASSERT_EQ(w.system->path_count(), 400u);
+  Rng rng(w.seed * 101);  // The service's monte-rome seeding.
+  const MonteCarloEr engine(*w.system, *w.failures, 50, rng);
+
+  std::vector<std::size_t> trajectory(w.system->path_count());
+  std::iota(trajectory.begin(), trajectory.end(), std::size_t{0});
+  Rng pick(17);
+  pick.shuffle(trajectory);
+  trajectory.resize(30);
+  const std::vector<double> cost = w.costs.path_costs(*w.system);
+  const double budget = 0.1 * std::accumulate(cost.begin(), cost.end(), 0.0);
+  EXPECT_EQ(testkit::scenario_rows_diff(*w.system, w.costs, engine,
+                                        trajectory, budget),
+            "");
+}
+
 // --------------------------------------------------------------------------
 // IndependentPathEr (Eq. 11)
 // --------------------------------------------------------------------------
@@ -362,7 +398,7 @@ TEST(IndependentPathEr, IndependentPathsSumTheta) {
     theta[q] = 0.1 + 0.05 * static_cast<double>(q % 10);
   }
   IndependentPathEr er(*w.system, theta);
-  const auto basis = linalg::independent_row_subset(w.system->matrix());
+  const auto basis = independent_paths(*w.system);
   double expected = 0.0;
   for (std::size_t q : basis) expected += theta[q];
   EXPECT_NEAR(er.evaluate(basis), expected, 1e-9);
@@ -373,7 +409,7 @@ TEST(IndependentPathEr, ClampsOptimisticTheta) {
   SmallWorld w(91);
   std::vector<double> theta(w.system->path_count(), 2.5);
   IndependentPathEr er(*w.system, theta);
-  const auto basis = linalg::independent_row_subset(w.system->matrix());
+  const auto basis = independent_paths(*w.system);
   EXPECT_NEAR(er.evaluate(basis), static_cast<double>(basis.size()), 1e-9);
 }
 

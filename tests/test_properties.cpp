@@ -67,7 +67,9 @@ TEST_P(CrossTopology, BasisSelectorsAgreeOnRank) {
   const testkit::CheckResult r = testkit::run_check(
       *testkit::find_check("incremental-basis-reduction"), inst);
   EXPECT_TRUE(r.passed) << r.message;
-  const auto& m = w.system->matrix();
+  std::vector<std::size_t> all(w.system->path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const linalg::Matrix m = tomo::path_matrix(*w.system, all);
   EXPECT_EQ(linalg::cholesky_basis(m).size(), linalg::rank(m));
 }
 

@@ -2,6 +2,8 @@
 // transpose, row selection, and rank agreement with the dense substrate.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "linalg/elimination.h"
 #include "linalg/sparse.h"
 #include "tomo/monitors.h"
@@ -120,8 +122,11 @@ TEST(Sparse, RankMatchesDenseOnPathMatrices) {
   Rng rng(5);
   graph::Graph g = graph::build_isp_like(60, 120, rng);
   const tomo::PathSystem sys = tomo::build_path_system(g, 80, rng);
-  const SparseMatrix sparse = SparseMatrix::from_dense(sys.matrix());
-  EXPECT_EQ(sparse.rank_via_dense(), rank(sys.matrix()));
+  std::vector<std::size_t> all(sys.path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const Matrix a = tomo::path_matrix(sys, all);
+  const SparseMatrix sparse = SparseMatrix::from_dense(a);
+  EXPECT_EQ(sparse.rank_via_dense(), rank(a));
   // Path matrices really are sparse — the representation pays off.
   EXPECT_LT(sparse.density(), 0.1);
 }

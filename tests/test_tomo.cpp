@@ -58,10 +58,35 @@ TEST(PathSystem, MatrixReflectsLinks) {
   const PathSystem sys = line_system();
   EXPECT_EQ(sys.path_count(), 3u);
   EXPECT_EQ(sys.link_count(), 3u);
-  const auto& a = sys.matrix();
-  EXPECT_DOUBLE_EQ(a(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(a(2, 2), 1.0);
+  const linalg::Matrix a = path_matrix(sys, {0, 1, 2});
+  const linalg::Matrix want = {{1, 0, 0}, {1, 1, 0}, {1, 1, 1}};
+  EXPECT_EQ(a, want);
+}
+
+TEST(PathMatrix, RowsFollowTheListedOrder) {
+  const PathSystem sys = line_system();
+  const linalg::Matrix a = path_matrix(sys, {2, 0, 2});
+  const linalg::Matrix want = {{1, 1, 1}, {1, 0, 0}, {1, 1, 1}};
+  EXPECT_EQ(a, want);
+  EXPECT_THROW(path_matrix(sys, {3}), std::out_of_range);
+}
+
+TEST(PathMatrix, LinkListedTwiceIsOneEntry) {
+  ProbePath twice;
+  twice.links = {0, 2, 2};
+  twice.hops = 3;
+  const PathSystem sys(4, {twice});
+  const linalg::Matrix a = path_matrix(sys, {0});
+  const linalg::Matrix want = {{1, 0, 1, 0}};
+  EXPECT_EQ(a, want);
+}
+
+TEST(PathMatrix, NoRowsGiveAnEmptyMatrixOfLinkWidth) {
+  const PathSystem sys = line_system();
+  const linalg::Matrix a = path_matrix(sys, {});
+  EXPECT_EQ(a.rows(), 0u);
+  EXPECT_EQ(a.cols(), 3u);
+  EXPECT_TRUE(a.empty());
 }
 
 TEST(PathSystem, RejectsInvalidPaths) {
@@ -467,9 +492,10 @@ TEST(ClassRowSpaces, SampledClassesMatchDenseAndExactReferees) {
     expect_dense(sys, rows, spaces[c], where);
     EXPECT_EQ(ranks[c].rank, spaces[c].rank) << where;
     EXPECT_EQ(sys.rank_of(rows), spaces[c].rank) << where;
+    const linalg::Matrix a = path_matrix(sys, rows);
     std::vector<std::vector<double>> dense;
-    for (const std::size_t r : rows) {
-      dense.emplace_back(sys.row(r).begin(), sys.row(r).end());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      dense.emplace_back(a.row(i).begin(), a.row(i).end());
     }
     EXPECT_EQ(testkit::exact_rank(dense), spaces[c].rank) << where;
     EXPECT_EQ(row_space_of(sys, rows).identifiable, spaces[c].identifiable)

@@ -12,16 +12,16 @@
 //   serve     Run the concurrent tomography service on a TCP port.
 //   client    Send protocol lines to a running service.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   rnt_cli topology --as AS3257 --output as3257.edges
-//   rnt_cli select --as AS1755 --paths 400 --algorithm prob-rome \
-//                  --budget-frac 0.1
-//   rnt_cli evaluate --as AS3257 --paths 800 --algorithm select-path \
-//                    --budget-frac 0.1 --scenarios 200
+//   rnt_cli select --as AS1755 --paths 400 --algorithm prob-rome
+//       --budget-frac 0.1
+//   rnt_cli evaluate --as AS3257 --paths 800 --algorithm select-path
+//       --budget-frac 0.1 --scenarios 200
 //   rnt_cli learn --as AS1755 --paths 100 --epochs 500 --learner lsr
 //   rnt_cli localize --as AS1755 --paths 200 --budget-frac 0.15
-//   rnt_cli pipeline --nodes 40 --links 80 --paths 120 --policy adaptive \
-//                    --segments 2,10,5 --segment-epochs 40
+//   rnt_cli pipeline --nodes 40 --links 80 --paths 120 --policy adaptive
+//       --segments 2,10,5 --segment-epochs 40
 //   rnt_cli serve --port 7070 --threads 8 --cache 8
 //   rnt_cli client --port 7070 --request "select as=AS1755 budget-frac=0.1"
 //
