@@ -37,10 +37,12 @@ struct CommonOptions {
   std::string topology;     ///< Empty = driver default.
   std::string engine = "mc";  ///< Scenario ER engine: "mc" (float
                               ///< elimination) or "kernel" (bit-packed
-                              ///< ranks) — same sampler, bitwise-equal ER.
+                              ///< ranks) — same sampler, bitwise-equal
+                              ///< evaluate(), gains within 1e-9, so a
+                              ///< greedy selection can differ.
   std::string kernel = "auto";  ///< Rank kernel inside --engine=kernel:
-                                ///< "auto" | "sliced" | "scalar" —
-                                ///< bitwise-equal results, speed only.
+                                ///< "auto" | "sliced" | "scalar" — the
+                                ///< three agree bitwise, speed only.
   std::size_t threads = 0;  ///< Workers for parallel ER evaluation;
                             ///< 0 = hardware concurrency.
 };
@@ -60,10 +62,13 @@ inline CommonOptions parse_common(Flags& flags) {
 
 /// Monte-Carlo-style scenario engine for --engine: both choices draw the
 /// identical scenario set from `rng` (same sampler, same order), so their
-/// evaluate()/gain() results are bitwise-equal — the kernel engine is just
-/// faster.  `kernel` picks the rank kernel inside the kernel engine
-/// (auto | sliced | scalar; same answers again).  Throws on unknown names
-/// so typos fail loudly.
+/// evaluate() results are bitwise-equal.  Their gains agree only within
+/// 1e-9 (the kernel sums merged scenario-class weights; the
+/// kernel-matches-scenario check), so a greedy near-tie can break
+/// differently: the two chose different paths on 85 of 600 sampled
+/// workloads.  `kernel` picks the rank kernel inside the kernel engine
+/// (auto | sliced | scalar; bitwise the same answers).  Throws on unknown
+/// names so typos fail loudly.
 inline std::unique_ptr<core::ScenarioErEngine> make_scenario_engine(
     const std::string& engine, const tomo::PathSystem& system,
     const failures::FailureModel& model, std::size_t runs, Rng& rng,

@@ -2,7 +2,7 @@
 // of concurrent link failures grows (the paper's motivating experiment,
 // AS1239 with 1600 candidate paths).
 //
-// Series: two arbitrary bases (random-order Cholesky bases, as prior work
+// Series: two arbitrary bases (random-order SelectPath bases, as prior work
 // would select) and the full candidate set R_M.  Expected shape: all series
 // decay with k; the full set dominates both bases; the two bases differ,
 // showing that basis choice matters under failures.

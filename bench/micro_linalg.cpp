@@ -1,14 +1,12 @@
 // Micro-benchmarks for the linear algebra substrate: batch vs. incremental
 // rank, the sparse incremental basis against the testkit's dense reference
-// basis, the Cholesky independence test, identifiable columns from one
-// RREF pass against the testkit's null-space reference — the primitives
-// whose costs dominate the figure experiments.  Informational only; no
-// gate reads these numbers.
+// basis, identifiable columns from one RREF pass against the testkit's
+// null-space reference — the primitives whose costs dominate the figure
+// experiments.  Informational only; no gate reads these numbers.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
-#include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
 #include "linalg/sparse.h"
@@ -137,14 +135,6 @@ void BM_BasisQueryAS1239(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_BasisQueryAS1239, linalg::IncrementalBasis);
 BENCHMARK_TEMPLATE(BM_BasisQueryAS1239, testkit::DenseIncrementalBasis);
-
-void BM_CholeskyBasis(benchmark::State& state) {
-  const auto m = path_matrix(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::cholesky_basis(m));
-  }
-}
-BENCHMARK(BM_CholeskyBasis)->Arg(50)->Arg(100)->Arg(200);
 
 /// The testkit null-space basis that the dense row space replaced as the
 /// identifiability reference.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "linalg/cholesky.h"
+#include "linalg/incremental_basis.h"
 
 namespace rnt::core {
 
@@ -11,10 +11,13 @@ namespace {
 
 Selection basis_in_order(const tomo::PathSystem& system,
                          const std::vector<std::size_t>& order) {
-  std::vector<std::size_t> all(system.path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  linalg::IncrementalBasis basis(system.link_count(),
+                                 linalg::kDefaultTolerance,
+                                 /*track_combinations=*/false);
   Selection out;
-  out.paths = linalg::cholesky_basis(tomo::path_matrix(system, all), order);
+  for (const std::size_t q : order) {
+    if (basis.try_add(system.unit_row(q))) out.paths.push_back(q);
+  }
   out.cost = static_cast<double>(out.paths.size());
   out.objective = static_cast<double>(out.paths.size());
   return out;

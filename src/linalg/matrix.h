@@ -2,8 +2,7 @@
 //
 // This is the numeric workhorse under the tomography path matrix: path
 // matrices are 0/1 but their rank is taken over the reals, so all rank
-// machinery (elimination, Cholesky, SVD) operates on doubles with an
-// explicit tolerance.  Exact rational elimination (rational.h) provides the
+// machinery operates on doubles with an explicit tolerance.  Exact rational elimination (rational.h) provides the
 // ground-truth oracle used in tests.
 #pragma once
 

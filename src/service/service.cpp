@@ -7,17 +7,12 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "boolnt/identifiability.h"
 #include "boolnt/localize.h"
-#include "core/matrome.h"
-#include "core/rome.h"
-#include "core/select_path.h"
-#include "core/selectors/selector.h"
 #include "exp/metrics.h"
 #include "infer/inference.h"
 #include "tomo/localization.h"
@@ -88,12 +83,6 @@ std::size_t capped_count(const Request& request, const std::string& key,
   return n;
 }
 
-double total_cost(const exp::Workload& w) {
-  std::vector<std::size_t> all(w.system->path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return w.costs.subset_cost(*w.system, all);
-}
-
 /// The probing budget a request names: budget-frac (default 0.3) of the
 /// cost of probing every path.  A budget that is not finite or is negative
 /// is rejected, so NaN cannot slip past the selectors' budget tests.
@@ -104,61 +93,6 @@ double request_budget(const Request& request, const exp::Workload& w) {
         "budget-frac must give a finite, non-negative budget");
   }
   return budget;
-}
-
-/// Same algorithm zoo and seeding as cli_commands.cpp run_algorithm(),
-/// with the cached ProbBound tables standing in for a fresh ProbBoundEr
-/// (its construction is deterministic, so the selection is identical).
-/// `optimizer` routes the engine-driven algorithms through the Selector
-/// registry; the default ("rome") reproduces the historical core::rome
-/// call bit for bit.
-core::Selection run_algorithm(const CachedWorkload& cw,
-                              const std::string& algorithm,
-                              const std::string& optimizer, double budget,
-                              core::KernelMode kernel) {
-  const exp::Workload& w = cw.workload;
-  const core::ErEngine* engine = nullptr;
-  std::unique_ptr<core::ErEngine> owned;
-  if (algorithm == "prob-rome") {
-    engine = &cw.prob_bound;
-  } else if (algorithm == "monte-rome") {
-    Rng rng(w.seed * 101);
-    owned = std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
-                                                 rng);
-    engine = owned.get();
-  } else if (algorithm == "kernel-rome") {
-    // Same mixture and seeding as monte-rome, evaluated by the cached
-    // bit-packed engine — identical selection, shared across requests.
-    engine = &cw.kernel_engine(50, kernel);
-  } else if (algorithm == "select-path") {
-    if (optimizer != "rome") {
-      throw std::invalid_argument(
-          "optimizer does not apply to select-path: it does not run "
-          "through the Selector registry");
-    }
-    Rng rng(w.seed * 103);
-    return core::select_path_budgeted(*w.system, w.costs, budget, rng);
-  } else if (algorithm == "mat-rome") {
-    if (optimizer != "rome") {
-      throw std::invalid_argument(
-          "optimizer does not apply to mat-rome: it does not run through "
-          "the Selector registry");
-    }
-    return core::matrome(*w.system, *w.failures);
-  } else {
-    throw std::invalid_argument(
-        "unknown algorithm (want prob-rome, monte-rome, kernel-rome, "
-        "select-path or mat-rome): " +
-        algorithm);
-  }
-  core::SelectorOptions options;
-  options.seed = w.seed;
-  if (optimizer == "branch-and-bound") {
-    // The cached ProbBound tables double as the admissible pruning bound.
-    options.bound_engine = &cw.prob_bound;
-  }
-  return core::make_selector(optimizer, options)
-      ->select(*w.system, w.costs, budget, *engine);
 }
 
 std::vector<std::size_t> parse_subset(const std::string& csv,

@@ -1,9 +1,13 @@
 #include "service/workload_cache.h"
 
 #include <chrono>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/matrome.h"
+#include "core/select_path.h"
+#include "core/selectors/selector.h"
 #include "graph/isp_topology.h"
 
 namespace rnt::service {
@@ -37,6 +41,65 @@ const core::KernelErEngine& CachedWorkload::kernel_engine(
     slot->set_kernel_mode(mode);
   }
   return *slot;
+}
+
+double total_cost(const exp::Workload& w) {
+  std::vector<std::size_t> all(w.system->path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return w.costs.subset_cost(*w.system, all);
+}
+
+core::Selection run_algorithm(const CachedWorkload& cw,
+                              const std::string& algorithm,
+                              const std::string& optimizer, double budget,
+                              core::KernelMode kernel) {
+  const exp::Workload& w = cw.workload;
+  const core::ErEngine* engine = nullptr;
+  std::unique_ptr<core::ErEngine> owned;
+  if (algorithm == "prob-rome") {
+    engine = &cw.prob_bound;
+  } else if (algorithm == "monte-rome") {
+    Rng rng(w.seed * 101);
+    owned = std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
+                                                 rng);
+    engine = owned.get();
+  } else if (algorithm == "kernel-rome") {
+    // Same mixture and seeding as monte-rome, scored by the cached
+    // bit-packed engine and shared across requests.  Its evaluate() is
+    // bitwise MonteCarloEr's, but its gains agree only within 1e-9 (it sums
+    // merged scenario-class weights), so near-tied greedy steps can break
+    // differently: on 85 of 600 sampled workloads the two chose different
+    // paths.
+    engine = &cw.kernel_engine(50, kernel);
+  } else if (algorithm == "select-path") {
+    if (optimizer != "rome") {
+      throw std::invalid_argument(
+          "optimizer does not apply to select-path: it does not run "
+          "through the Selector registry");
+    }
+    Rng rng(w.seed * 103);
+    return core::select_path_budgeted(*w.system, w.costs, budget, rng);
+  } else if (algorithm == "mat-rome") {
+    if (optimizer != "rome") {
+      throw std::invalid_argument(
+          "optimizer does not apply to mat-rome: it does not run through "
+          "the Selector registry");
+    }
+    return core::matrome(*w.system, *w.failures);
+  } else {
+    throw std::invalid_argument(
+        "unknown algorithm (want prob-rome, monte-rome, kernel-rome, "
+        "select-path or mat-rome): " +
+        algorithm);
+  }
+  core::SelectorOptions options;
+  options.seed = w.seed;
+  if (optimizer == "branch-and-bound") {
+    // The cached ProbBound tables double as the admissible pruning bound.
+    options.bound_engine = &cw.prob_bound;
+  }
+  return core::make_selector(optimizer, options)
+      ->select(*w.system, w.costs, budget, *engine);
 }
 
 std::string WorkloadKey::describe() const {

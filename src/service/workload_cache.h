@@ -26,6 +26,7 @@
 
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
+#include "core/selection.h"
 #include "exp/workload.h"
 
 namespace rnt::service {
@@ -81,6 +82,25 @@ struct CachedWorkload {
                    std::unique_ptr<core::KernelErEngine>>
       kernels_;
 };
+
+/// The cost of probing every candidate path of `w`; budget fractions are
+/// taken of it.
+double total_cost(const exp::Workload& w);
+
+/// Runs one selection algorithm at `budget` on a workload: the one
+/// algorithm-to-engine dispatch behind both the `select` verb and the
+/// rnt_cli commands.  prob-rome scores with the cached ProbBound tables,
+/// monte-rome with a fresh 50-scenario MonteCarloEr (seed
+/// workload.seed * 101), and kernel-rome with the cached bit-packed engine
+/// over the same mixture; `optimizer` routes these through the Selector
+/// registry (the default "rome" reproduces core::rome bit for bit) and
+/// `kernel` picks that engine's rank kernel.  select-path (seed
+/// workload.seed * 103) and mat-rome bypass the registry and accept only
+/// "rome".
+core::Selection run_algorithm(const CachedWorkload& cw,
+                              const std::string& algorithm,
+                              const std::string& optimizer, double budget,
+                              core::KernelMode kernel);
 
 /// Thread-safe LRU cache of CachedWorkload entries.
 class WorkloadCache {

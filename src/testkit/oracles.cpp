@@ -77,7 +77,8 @@ std::size_t rank_mod(const std::vector<std::vector<std::int64_t>>& rows,
 std::size_t exact_rank(const std::vector<std::vector<std::int64_t>>& rows) {
   const std::size_t cols = rows.empty() ? 0 : rows[0].size();
   // ||row||^2 <= nonzeros * max|x|^2 < 2^h with h = bit_width(nonzeros) +
-  // 2 bit_width(max|x|): h counts half-bits of the row's Hadamard factor.
+  // 2 bit_width(max|x| - 1), as max|x| <= 2^bit_width(max|x| - 1): h counts
+  // half-bits of the row's Hadamard factor (a 0/1 row adds none for max|x|).
   std::vector<std::size_t> half_bits;
   half_bits.reserve(rows.size());
   for (const auto& row : rows) {
@@ -95,7 +96,7 @@ std::size_t exact_rank(const std::vector<std::vector<std::int64_t>>& rows) {
     }
     if (nonzeros != 0) {
       half_bits.push_back(std::bit_width(nonzeros) +
-                          2 * std::bit_width(max_abs));
+                          2 * std::bit_width(max_abs - 1));
     }
   }
   // A nonzero minor spans at most `limit` nonzero rows; its Hadamard bound

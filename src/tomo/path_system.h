@@ -125,7 +125,7 @@ class PathSystem {
 
 /// Rows `rows` of A (in that order) as a dense rows.size() × link_count
 /// 0/1 matrix; a link a path lists twice is one 1.0.  Built on demand for
-/// dense arithmetic (Cholesky basis, direct solves, dense oracles); every
+/// dense arithmetic (direct solves, dense oracles); every
 /// production rank and gain reads the link lists instead.
 linalg::Matrix path_matrix(const PathSystem& system,
                            const std::vector<std::size_t>& rows);

@@ -12,9 +12,11 @@
 #include "core/matrome.h"
 #include "core/rome.h"
 #include "core/select_path.h"
+#include "exp/workload.h"
 #include "graph/generators.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
+#include "testkit/oracles.h"
 #include "tomo/monitors.h"
 #include "util/rng.h"
 
@@ -260,6 +262,39 @@ TEST(SelectPath, OrderedVariantDeterministic) {
   const Selection a = select_path_basis_ordered(*w.system);
   const Selection b = select_path_basis_ordered(*w.system);
   EXPECT_EQ(a.paths, b.paths);
+}
+
+TEST(SelectPath, BasisIsTheInOrderIndependentSubsetOnAs1239) {
+  // SelectPath's basis is defined by its scan order alone: the rows kept
+  // are exactly the in-order maximal independent subset, however it is
+  // computed.  Pinned against the dense elimination selector on AS1239
+  // (972 links) at 400 paths, and its size against the exact referee.
+  exp::WorkloadSpec spec;
+  spec.topology = graph::IspTopology::kAS1239;
+  spec.candidate_paths = 400;
+  const exp::Workload w = exp::make_workload(spec);
+  std::vector<std::size_t> order(w.system->path_count());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const linalg::Matrix m = tomo::path_matrix(*w.system, order);
+
+  const Selection ordered = select_path_basis_ordered(*w.system);
+  EXPECT_EQ(ordered.paths, linalg::independent_row_subset(m, order));
+  std::vector<std::vector<double>> rows(m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    rows[r].assign(m.row(r).begin(), m.row(r).end());
+  }
+  EXPECT_EQ(ordered.paths.size(), testkit::exact_rank(rows));
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const Selection seeded = select_path_basis(*w.system, rng);
+    std::vector<std::size_t> shuffled = order;
+    Rng replay(seed);
+    replay.shuffle(shuffled);
+    EXPECT_EQ(seeded.paths, linalg::independent_row_subset(m, shuffled))
+        << "seed " << seed;
+    EXPECT_EQ(seeded.paths.size(), ordered.paths.size()) << "seed " << seed;
+  }
 }
 
 TEST(SelectPath, BudgetedUnderBudgetAddsCheapest) {

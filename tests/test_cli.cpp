@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cli_commands.h"
+#include "service/service.h"
 #include "util/flags.h"
 
 namespace rnt::cli {
@@ -70,6 +71,84 @@ TEST(CliSelect, RejectsUnknownAlgorithm) {
                            "--algorithm", "magic"});
   std::ostringstream out;
   EXPECT_THROW(cmd_select(flags, out), std::invalid_argument);
+}
+
+/// The "selected N paths, cost C" fragment and the path column of a
+/// `cmd_select --verbose` report.
+struct CliSelection {
+  std::string headline;
+  std::string paths;  ///< Comma-separated, in table order.
+};
+
+CliSelection parse_cli_select(const std::string& report) {
+  CliSelection sel;
+  std::istringstream in(report);
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    const std::size_t at = line.find(" selected ");
+    if (at != std::string::npos) {
+      sel.headline = line.substr(at + 1, line.find(", objective") - at - 1);
+    } else if (line.rfind("----", 0) == 0) {
+      in_table = true;
+    } else if (in_table && !line.empty()) {
+      if (!sel.paths.empty()) sel.paths += ',';
+      sel.paths += line.substr(0, line.find(' '));
+    }
+  }
+  return sel;
+}
+
+TEST(CliSelect, MatchesServiceSelectForEveryAlgorithm) {
+  service::Service svc(service::ServiceConfig{.threads = 1,
+                                              .cache_capacity = 2});
+  const std::string params =
+      "nodes=30 links=60 paths=40 seed=5 intensity=5 budget-frac=0.25";
+  struct Case {
+    const char* algorithm;
+    const char* optimizer;
+  };
+  for (const Case c : {Case{"prob-rome", "rome"},
+                       Case{"prob-rome", "lazy-greedy"},
+                       Case{"monte-rome", "rome"},
+                       Case{"monte-rome", "lazy-greedy"},
+                       Case{"kernel-rome", "rome"},
+                       Case{"kernel-rome", "lazy-greedy"},
+                       Case{"select-path", "rome"},
+                       Case{"mat-rome", "rome"}}) {
+    SCOPED_TRACE(std::string(c.algorithm) + "+" + c.optimizer);
+    auto flags = make_flags({"--nodes", "30", "--links", "60", "--paths",
+                             "40", "--seed", "5", "--budget-frac", "0.25",
+                             "--algorithm", c.algorithm, "--optimizer",
+                             c.optimizer, "--verbose"});
+    std::ostringstream out;
+    ASSERT_EQ(cmd_select(flags, out), 0);
+    flags.finish();
+    const CliSelection cli = parse_cli_select(out.str());
+
+    const service::Response reply = svc.handle_line(
+        "select " + params + " algorithm=" + c.algorithm +
+        " optimizer=" + c.optimizer);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    std::ostringstream headline;
+    headline << "selected " << reply.at("selected") << " paths, cost "
+             << reply.number("cost");
+    EXPECT_EQ(cli.headline, headline.str());
+    EXPECT_EQ(cli.paths, reply.at("paths"));
+    EXPECT_FALSE(cli.paths.empty());
+  }
+  // Neither surface routes select-path or mat-rome through an optimizer.
+  for (const char* algorithm : {"select-path", "mat-rome"}) {
+    auto flags = make_flags({"--nodes", "30", "--links", "60", "--paths",
+                             "40", "--algorithm", algorithm, "--optimizer",
+                             "lazy-greedy"});
+    std::ostringstream out;
+    EXPECT_THROW(cmd_select(flags, out), std::invalid_argument) << algorithm;
+    EXPECT_FALSE(svc.handle_line("select " + params + " algorithm=" +
+                                 algorithm + " optimizer=lazy-greedy")
+                     .ok)
+        << algorithm;
+  }
 }
 
 TEST(CliEvaluate, ReportsMetrics) {
@@ -203,6 +282,12 @@ TEST(CliDispatch, UnknownFlagFailsLoudly) {
   std::ostringstream out;
   const char* argv[] = {"rnt_cli", "topology", "--oops", "1"};
   EXPECT_THROW(dispatch(4, const_cast<char**>(argv), out),
+               std::invalid_argument);
+  // --engine is not a select flag: kernel-rome names the kernel engine.
+  const char* engine_argv[] = {"rnt_cli", "select", "--nodes", "16",
+                               "--links", "32", "--paths", "24",
+                               "--engine", "kernel"};
+  EXPECT_THROW(dispatch(10, const_cast<char**>(engine_argv), out),
                std::invalid_argument);
   // serve checks its flags before binding a socket.
   const char* serve_argv[] = {"rnt_cli", "serve", "--reactor"};

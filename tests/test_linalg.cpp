@@ -1,7 +1,7 @@
 // Unit and property tests for the linear algebra substrate: matrix ops,
 // elimination / rank / null space (validated against the testkit's exact
-// integer rank referee), the incremental basis oracle (against the
-// testkit's dense reference basis), and Cholesky basis selection.
+// integer rank referee), and the incremental basis oracle (against the
+// testkit's dense reference basis).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -9,7 +9,6 @@
 #include <numeric>
 #include <thread>
 
-#include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "linalg/incremental_basis.h"
 #include "linalg/matrix.h"
@@ -535,40 +534,6 @@ TEST(ExactRank, KnownMatrices) {
   EXPECT_EQ(referee_rank(Matrix::identity(5)), 5u);
   Matrix dep{{1, 1, 0}, {0, 1, 1}, {1, 2, 1}};
   EXPECT_EQ(referee_rank(dep), 2u);
-}
-
-// --------------------------------------------------------------------------
-// Cholesky basis selection
-// --------------------------------------------------------------------------
-
-TEST(Cholesky, BasisSizeEqualsRank) {
-  Rng rng(55);
-  for (int trial = 0; trial < 30; ++trial) {
-    Matrix m = random_binary_matrix(10 + rng.index(10), 6 + rng.index(6),
-                                    0.35, rng);
-    const auto basis = cholesky_basis(m);
-    EXPECT_EQ(basis.size(), rank(m));
-    EXPECT_EQ(rank_of_rows(m, basis), basis.size());
-  }
-}
-
-TEST(Cholesky, AgreesWithIncrementalBasisSelection) {
-  Rng rng(56);
-  Matrix m = random_binary_matrix(15, 8, 0.4, rng);
-  std::vector<std::size_t> order(m.rows());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  EXPECT_EQ(cholesky_basis(m, order), independent_row_subset(m, order));
-}
-
-TEST(Cholesky, ResidualOfDependentRowIsZero) {
-  Matrix m{{1, 0, 1}, {0, 1, 1}};
-  IncrementalCholesky chol(3);
-  EXPECT_TRUE(chol.try_add(m.row(0)));
-  EXPECT_TRUE(chol.try_add(m.row(1)));
-  const std::vector<double> dep = {1, 1, 2};  // row0 + row1
-  EXPECT_NEAR(chol.residual(dep), 0.0, 1e-8);
-  EXPECT_FALSE(chol.try_add(dep));
-  EXPECT_EQ(chol.rank(), 2u);
 }
 
 }  // namespace

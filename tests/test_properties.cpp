@@ -13,7 +13,6 @@
 #include "core/select_path.h"
 #include "exp/metrics.h"
 #include "exp/workload.h"
-#include "linalg/cholesky.h"
 #include "linalg/elimination.h"
 #include "testkit/checks.h"
 #include "testkit/instance.h"
@@ -61,7 +60,7 @@ TEST_P(CrossTopology, RankOraclesAgree) {
 TEST_P(CrossTopology, BasisSelectorsAgreeOnRank) {
   // Selector sizes are covered by the harness's incremental-basis check
   // (which additionally verifies the dependent-row reductions Eq. 6
-  // consumes); the Cholesky selector is not, so it stays explicit.
+  // consumes); SelectPath's basis is not, so it stays explicit.
   const exp::Workload w = make(120);
   const testkit::TestInstance inst = testkit::from_workload(w, 11);
   const testkit::CheckResult r = testkit::run_check(
@@ -70,7 +69,8 @@ TEST_P(CrossTopology, BasisSelectorsAgreeOnRank) {
   std::vector<std::size_t> all(w.system->path_count());
   std::iota(all.begin(), all.end(), std::size_t{0});
   const linalg::Matrix m = tomo::path_matrix(*w.system, all);
-  EXPECT_EQ(linalg::cholesky_basis(m).size(), linalg::rank(m));
+  EXPECT_EQ(core::select_path_basis_ordered(*w.system).size(),
+            linalg::rank(m));
 }
 
 TEST_P(CrossTopology, HarnessChecksHoldOnCalibratedWorkloads) {
@@ -131,7 +131,7 @@ TEST_P(CrossTopology, RomeRespectsBudgetAndBeatsBaselineAtLowBudget) {
 
 TEST_P(CrossTopology, MatRoMeBasisIsMostAvailableBasis) {
   // MatRoMe's modular objective: its basis must have total EA at least
-  // that of any arbitrary Cholesky basis.
+  // that of any arbitrary SelectPath basis.
   const exp::Workload w = make(150);
   const auto mat = core::matrome(*w.system, *w.failures);
   Rng rng(5);

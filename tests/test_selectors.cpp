@@ -538,24 +538,6 @@ TEST(CliSelect, DefaultOutputByteIdenticalThroughRegistry) {
   EXPECT_NE(before.find("prob-rome selected"), std::string::npos);
 }
 
-TEST(CliSelect, EngineChoiceComposesWithOptimizerChoice) {
-  // monte-rome on the kernel backend must reproduce kernel-rome: same
-  // sampler, same seed, bitwise-equal ER — only the label differs.
-  const std::string via_override =
-      run_select({"--nodes", "16", "--links", "32", "--paths", "24", "--seed",
-                  "5", "--algorithm", "monte-rome", "--engine", "kernel",
-                  "--optimizer", "lazy-greedy"});
-  const std::string native =
-      run_select({"--nodes", "16", "--links", "32", "--paths", "24", "--seed",
-                  "5", "--algorithm", "kernel-rome", "--optimizer",
-                  "lazy-greedy"});
-  const auto tail = [](const std::string& s) {
-    return s.substr(s.find(" selected "));
-  };
-  EXPECT_EQ(tail(via_override), tail(native));
-  EXPECT_NE(via_override.find("monte-rome+lazy-greedy"), std::string::npos);
-}
-
 TEST(CliSelect, LazyGreedyMatchesDefaultSelection) {
   const std::string rome = run_select(
       {"--nodes", "16", "--links", "32", "--paths", "24", "--seed", "5"});
@@ -581,11 +563,14 @@ TEST(CliSelect, RejectsUnknownOptimizerAndBadCompositions) {
     std::ostringstream out;
     EXPECT_THROW(cli::cmd_select(flags, out), std::invalid_argument);
   }
-  {
+  // --kernel picks kernel-rome's rank kernel; no other algorithm takes it.
+  for (const char* algorithm : {"prob-rome", "monte-rome"}) {
     auto flags = make_flags({"--nodes", "16", "--links", "32", "--paths",
-                             "24", "--engine", "gpu"});
+                             "24", "--algorithm", algorithm, "--kernel",
+                             "sliced"});
     std::ostringstream out;
-    EXPECT_THROW(cli::cmd_select(flags, out), std::invalid_argument);
+    EXPECT_THROW(cli::cmd_select(flags, out), std::invalid_argument)
+        << algorithm;
   }
 }
 

@@ -1018,10 +1018,12 @@ TEST(Service, KernelRomeMatchesMonteRome) {
       svc.handle_line("select " + wparams + " algorithm=kernel-rome");
   ASSERT_TRUE(monte.ok) << monte.error;
   ASSERT_TRUE(kernel.ok) << kernel.error;
-  // Identical mixture => identical selection; the objective may drift in
-  // the last bits because the kernel accumulator sums merged scenario-class
-  // weights instead of per-scenario weights (documented 1e-9 bound, pinned
-  // by the kernel-matches-scenario differential check).
+  // Same mixture, but not the same arithmetic: the kernel accumulator sums
+  // merged scenario-class weights instead of per-scenario weights, so its
+  // gains agree with MonteCarloEr's only within 1e-9 (the
+  // kernel-matches-scenario differential check) and a near-tied greedy step
+  // can break differently (85 of 600 sampled workloads chose different
+  // paths).  On this instance no tie moves, so the paths match.
   EXPECT_EQ(kernel.at("paths"), monte.at("paths"));
   EXPECT_NEAR(kernel.number("objective"), monte.number("objective"), 1e-9);
   EXPECT_EQ(kernel.number("rank"), monte.number("rank"));

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <csignal>
 #include <iostream>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -14,10 +13,7 @@
 #include "boolnt/localize.h"
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
-#include "core/matrome.h"
 #include "core/rome.h"
-#include "core/select_path.h"
-#include "core/selectors/selector.h"
 #include "exp/metrics.h"
 #include "exp/workload.h"
 #include "failures/srlg.h"
@@ -31,6 +27,7 @@
 #include "online/pipeline.h"
 #include "service/client.h"
 #include "service/reactor_server.h"
+#include "service/workload_cache.h"
 #include "testkit/checks.h"
 #include "testkit/fuzzer.h"
 #include "testkit/instance.h"
@@ -82,104 +79,20 @@ exp::Workload build_workload(Flags& flags) {
   return exp::make_custom_workload(nodes, links, paths, seed, intensity);
 }
 
-/// The ER engine behind a Selector-driven algorithm, or nullptr for the
-/// algorithms that bypass the Selector registry (select-path, mat-rome).
-/// `engine_kind` overrides the scenario backend independently of the
-/// optimizer: monte-rome and kernel-rome are the same 50-scenario
-/// sampler on the scenario ("mc") or bit-packed ("kernel") backend, so
-/// either spelling composes with any --optimizer; prob-rome is the
-/// analytical bound and accepts no override.
-std::unique_ptr<core::ErEngine> make_engine(const exp::Workload& w,
-                                            const std::string& algorithm,
-                                            const std::string& engine_kind,
-                                            std::uint64_t seed,
-                                            const std::string& kernel_mode) {
-  // --kernel selects the rank-kernel implementation inside the bit-packed
-  // engine (auto | sliced | scalar); selections are bitwise identical
-  // either way, so it is purely a performance knob.
-  const core::KernelMode mode = core::parse_kernel_mode(kernel_mode);
-  const bool mode_forced = mode != core::KernelMode::kAuto;
-  if (algorithm == "prob-rome") {
-    if (!engine_kind.empty() && engine_kind != "prob") {
-      throw std::invalid_argument(
-          "--engine: prob-rome always uses the analytical ProbBound engine");
-    }
-    if (mode_forced) {
-      throw std::invalid_argument(
-          "--kernel only applies to the kernel engine");
-    }
-    return std::make_unique<core::ProbBoundEr>(*w.system, *w.failures);
+/// The paths --algorithm (default prob-rome) picks at `budget` under
+/// --optimizer and --kernel, through the service's selection dispatch.  A
+/// non-auto --kernel is rejected for any algorithm but kernel-rome: only
+/// that one runs a kernel engine.
+core::Selection select_paths(Flags& flags, const service::CachedWorkload& cw,
+                             double budget) {
+  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const core::KernelMode kernel =
+      core::parse_kernel_mode(flags.get_string("kernel", "auto"));
+  if (kernel != core::KernelMode::kAuto && algorithm != "kernel-rome") {
+    throw std::invalid_argument("--kernel only applies to kernel-rome");
   }
-  if (algorithm == "monte-rome" || algorithm == "kernel-rome") {
-    const std::string kind =
-        !engine_kind.empty() ? engine_kind
-                             : (algorithm == "monte-rome" ? "mc" : "kernel");
-    // Same sampler and seed for both backends, so the selection is
-    // identical — the bit-packed rank kernel just gets there faster.
-    Rng rng(seed * 101);
-    if (kind == "mc") {
-      if (mode_forced) {
-        throw std::invalid_argument(
-            "--kernel only applies to the kernel engine");
-      }
-      return std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
-                                                  rng);
-    }
-    if (kind == "kernel") {
-      auto engine = std::make_unique<core::KernelErEngine>(
-          core::KernelErEngine::monte_carlo(*w.system, *w.failures, 50, rng));
-      engine->set_kernel_mode(mode);
-      return engine;
-    }
-    throw std::invalid_argument("unknown --engine (want mc or kernel): " +
-                                kind);
-  }
-  return nullptr;
-}
-
-core::Selection run_algorithm(const exp::Workload& w,
-                              const std::string& algorithm, double budget,
-                              std::uint64_t seed,
-                              const std::string& optimizer = "rome",
-                              const std::string& engine_kind = "",
-                              const std::string& kernel_mode = "auto") {
-  const std::unique_ptr<core::ErEngine> engine =
-      make_engine(w, algorithm, engine_kind, seed, kernel_mode);
-  if (engine == nullptr) {
-    if (optimizer != "rome" || !engine_kind.empty() ||
-        core::parse_kernel_mode(kernel_mode) != core::KernelMode::kAuto) {
-      throw std::invalid_argument(
-          "--optimizer/--engine/--kernel do not apply to " + algorithm +
-          ": it does not run through the Selector "
-          "registry");
-    }
-    if (algorithm == "select-path") {
-      Rng rng(seed * 103);
-      return core::select_path_budgeted(*w.system, w.costs, budget, rng);
-    }
-    if (algorithm == "mat-rome") {
-      return core::matrome(*w.system, *w.failures);
-    }
-    throw std::invalid_argument(
-        "unknown --algorithm (want prob-rome, monte-rome, kernel-rome, "
-        "select-path or mat-rome): " +
-        algorithm);
-  }
-  core::SelectorOptions options;
-  options.seed = seed;
-  std::unique_ptr<core::ProbBoundEr> bound;
-  if (optimizer == "branch-and-bound") {
-    bound = std::make_unique<core::ProbBoundEr>(*w.system, *w.failures);
-    options.bound_engine = bound.get();
-  }
-  return core::make_selector(optimizer, options)
-      ->select(*w.system, w.costs, budget, *engine);
-}
-
-double total_cost(const exp::Workload& w) {
-  std::vector<std::size_t> all(w.system->path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return w.costs.subset_cost(*w.system, all);
+  return service::run_algorithm(
+      cw, algorithm, flags.get_string("optimizer", "rome"), budget, kernel);
 }
 
 /// The probing budget --budget-frac (default 0.3) names, as a fraction of
@@ -187,7 +100,8 @@ double total_cost(const exp::Workload& w) {
 /// negative is rejected, so NaN cannot slip past the selectors' budget
 /// tests.
 double budget_of(Flags& flags, const exp::Workload& w) {
-  const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
+  const double budget =
+      flags.get_double("budget-frac", 0.3) * service::total_cost(w);
   if (!std::isfinite(budget) || budget < 0.0) {
     throw std::invalid_argument(
         "--budget-frac must give a finite, non-negative budget");
@@ -237,8 +151,7 @@ void print_usage(std::ostream& out) {
       "select-path | mat-rome\n"
       "  --optimizer O      rome | eager | lazy-greedy | stochastic-greedy | "
       "local-search | branch-and-bound\n"
-      "  --engine E         scenario backend override: mc | kernel\n"
-      "  --kernel K         kernel engine rank kernel: auto | sliced | "
+      "  --kernel K         kernel-rome's rank kernel: auto | sliced | "
       "scalar\n"
       "                     (identical selections; sliced packs 64 "
       "scenarios per word)\n"
@@ -354,14 +267,12 @@ int cmd_topology(Flags& flags, std::ostream& out) {
 }
 
 int cmd_select(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const std::string optimizer = flags.get_string("optimizer", "rome");
-  const std::string engine_kind = flags.get_string("engine", "");
   const double budget = budget_of(flags, w);
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed, optimizer, engine_kind,
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = select_paths(flags, cw, budget);
 
   // The default optimizer keeps the historical label so default output
   // stays byte-identical; non-default optimizers are named explicitly.
@@ -393,17 +304,13 @@ int cmd_select(Flags& flags, std::ostream& out) {
 }
 
 int cmd_evaluate(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = budget_of(flags, w);
   const auto scenarios = positive_count(flags, "scenarios", 200);
   const bool identifiability = flags.get_bool("identifiability", false);
 
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = select_paths(flags, cw, budget);
   Rng rng = w.eval_rng();
   exp::EvalOptions opts;
   opts.scenarios = scenarios;
@@ -481,15 +388,11 @@ int cmd_learn(Flags& flags, std::ostream& out) {
 }
 
 int cmd_localize(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = budget_of(flags, w);
   const auto trials = positive_count(flags, "scenarios", 300);
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = select_paths(flags, cw, budget);
   Rng rng = w.eval_rng();
   const auto score =
       tomo::score_localization(*w.system, sel.paths, *w.failures, trials, rng);
@@ -505,8 +408,8 @@ int cmd_localize(Flags& flags, std::ostream& out) {
 }
 
 int cmd_localize_node(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = budget_of(flags, w);
   const std::string family = flags.get_string("family", "node");
   if (family != "node" && family != "link") {
@@ -519,11 +422,7 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
       family == "link"
           ? boolnt::HypothesisSpace::links_of(w.system->link_count())
           : boolnt::HypothesisSpace::nodes_of(w.graph);
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = select_paths(flags, cw, budget);
   Rng rng = w.eval_rng();
   const auto score = boolnt::score_multi_localization(*w.system, sel.paths,
                                                       space, k, trials, rng);
@@ -557,7 +456,8 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
 }
 
 int cmd_infer(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = budget_of(flags, w);
   const std::string family = flags.get_string("family", "independent");
@@ -572,11 +472,7 @@ int cmd_infer(Flags& flags, std::ostream& out) {
   config.scenarios = positive_count(flags, "scenarios", 200);
   config.threads = flags.get_count("threads", 1);
 
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = select_paths(flags, cw, budget);
   const infer::GroundTruth truth = infer::campaign_truth(
       config.model, w.system->link_count(), w.seed, config.truth);
 
